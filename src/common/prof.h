@@ -32,9 +32,10 @@ enum Phase : int {
   kWakePop = 0,     // wake-heap drain + participant/listener set build
   kPlanGather,      // settle + plan_slot over participants + attempt gather
   kBucketBuild,     // per-cell attempt bucket construction
-  kBeginListener,   // candidate gather + RSS/mW accumulators (serial path)
-  kDecode,          // per-candidate decode checks + draws (serial path)
-  kShardResolve,    // sharded reception fan-out + slot-synchronous barrier
+  kBeginListener,   // candidate gather + RSS/mW accumulators (1 shard)
+  kDecode,          // per-candidate decode checks + draws (1 shard)
+  kShardResolve,    // sharded reception fan-out + barrier (>1 shard; holds
+                    // that run's begin_listener and decode time)
   kMergeCompact,    // listener-order compaction of per-shard results
   kAckResolve,      // ACK buckets + reverse-link resolution
   kDeliver,         // frame delivery + TX outcome reporting

@@ -11,10 +11,9 @@ Medium::Medium(const MediumConfig& config, std::vector<Position> positions,
                std::uint64_t seed)
     : config_(config),
       positions_(std::move(positions)),
-      // Compact mode (n above the flat-table cap) skips the Propagation
-      // memoization caches too: the dense link-key table alone is O(N²) and
-      // the pair/channel mean cache is far larger. The CSR rows built by
-      // build_reachability() take over both roles for the hot path.
+      // Compact mode (n above the flat-table cap) skips the dense link-key
+      // table too: it is O(N²). The CSR rows built by build_reachability()
+      // carry per-pair keys for the hot path instead.
       propagation_(config.propagation, seed,
                    positions_.size() <= config.flat_table_max_nodes
                        ? positions_.size()

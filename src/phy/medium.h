@@ -13,8 +13,8 @@
 // SpatialGrid cells sized by the provable decode radius. Deployments up to
 // flat_table_max_nodes keep the flat O(N²) mean table (the historical
 // bit-exact fast path); larger ones switch to per-cell sparse CSR rows that
-// hold only the 3×3-neighborhood pairs, and the Propagation memoization
-// caches (O(N²·channels)) are never allocated. Pairs outside a node's
+// hold only the 3×3-neighborhood pairs, and the Propagation link-key table
+// (O(N²)) is never allocated. Pairs outside a node's
 // neighborhood are uncoupled by model definition — no decode, no
 // interference — applied identically in this reference path and in the
 // per-slot SlotReception resolver, so the cutoff is shard-invariant.
@@ -48,7 +48,7 @@ struct MediumConfig {
   /// CC2420 receiver sensitivity (dBm): frames below this are never decoded.
   double sensitivity_dbm = -94.0;
   /// Largest node count for which the flat O(N²) mean-RSS table and the
-  /// Propagation memoization caches are built. Above it the Medium runs in
+  /// Propagation link-key table are built. Above it the Medium runs in
   /// compact mode: sparse per-cell CSR rows, no dense caches. The default
   /// keeps every paper-scale layout on the historical flat path; tests
   /// force compact mode with 0 to pin sparse == flat bit-for-bit.

@@ -9,13 +9,6 @@ double Propagation::mean_rss_dbm(double tx_power_dbm, NodeId a, NodeId b,
                                  const Position& tx_pos,
                                  const Position& rx_pos,
                                  PhysicalChannel channel) const {
-  MeanEntry* entry = nullptr;
-  if (cacheable(a, b, channel)) {
-    entry = &mean_cache_[cache_index(a, b, channel)];
-    for (int i = 0; i < entry->count; ++i) {
-      if (entry->power[i] == tx_power_dbm) return entry->mean[i];
-    }
-  }
   const double d =
       std::max(distance(tx_pos, rx_pos), config_.reference_distance_m);
   const double path_loss =
@@ -35,14 +28,7 @@ double Propagation::mean_rss_dbm(double tx_power_dbm, NodeId a, NodeId b,
       hashed_normal(hash_mix(key, kChannelTag, channel)) *
       config_.channel_offset_sigma_db;
 
-  const double mean =
-      tx_power_dbm - path_loss - floors + shadowing + channel_offset;
-  if (entry != nullptr && entry->count < 2) {
-    entry->power[entry->count] = tx_power_dbm;
-    entry->mean[entry->count] = mean;
-    ++entry->count;
-  }
-  return mean;
+  return tx_power_dbm - path_loss - floors + shadowing + channel_offset;
 }
 
 double Propagation::fading_db(NodeId a, NodeId b, PhysicalChannel channel,

@@ -8,13 +8,13 @@
 // too (same coherence block draw both directions), which matches the
 // reciprocity of narrowband channels on the timescale of a slot.
 //
-// Because every component is a pure function of its inputs and node
-// positions never move, the static per-(link, channel, power) mean is
-// memoized (the cache returns the exact double computed on first evaluation,
-// so memoization cannot change any result bit). The temporal fading draw is
-// recomputed statelessly per call: it is one table load, one hash, and an
-// inverse-CDF normal — cheaper than the multi-MB cache probe a per-(link,
-// channel) block memo costs at realistic revisit cadences.
+// Every component is a pure function of its inputs and nothing is memoized
+// here: the slot loop reads static means from Medium's flat table or CSR
+// rows, which are built once, so a mean is recomputed only by those builds
+// and by whole-topology snapshots. The temporal fading draw is recomputed
+// statelessly per call: it is one table load, one hash, and an inverse-CDF
+// normal — cheaper than the multi-MB cache probe a per-(link, channel)
+// block memo costs at realistic revisit cadences.
 #pragma once
 
 #include <algorithm>
@@ -72,14 +72,12 @@ inline constexpr double kFadingNormalBound = 6.0;
 /// Computes received signal strength for a (tx, rx, channel, slot) tuple.
 class Propagation {
  public:
-  /// `num_nodes` enables the memoization caches (ids are dense 0..n-1 and
-  /// positions are static); 0 disables caching.
+  /// `num_nodes` enables the dense link-key table (ids are dense 0..n-1);
+  /// 0 disables it.
   Propagation(const PropagationConfig& config, std::uint64_t seed,
               std::size_t num_nodes = 0)
       : config_(config), seed_(seed), num_nodes_(num_nodes) {
     if (num_nodes_ > 0) {
-      const std::size_t pairs = num_nodes_ * (num_nodes_ + 1) / 2;
-      mean_cache_.resize(pairs * kNumChannels);
       // Dense link-key table: the busy-slot path evaluates fading for every
       // (listener, transmitter) pair each slot, so the per-call hash chain
       // of link_key() is replaced by one small-table load (the keys are the
@@ -104,7 +102,7 @@ class Propagation {
   /// The temporal-fading component alone (dB) for (link, channel, slot):
   /// the exact value rss_dbm() adds on top of mean_rss_dbm(). Exposed so
   /// callers holding a precomputed mean (Medium's flat mean table) can
-  /// reconstruct rss_dbm() = mean + fading without the mean-cache probe.
+  /// reconstruct rss_dbm() = mean + fading without recomputing the mean.
   [[nodiscard]] double fading_db(NodeId a, NodeId b, PhysicalChannel channel,
                                  std::uint64_t slot) const;
 
@@ -185,38 +183,10 @@ class Propagation {
   }
 
  private:
-
-  /// True when (a, b, channel) falls inside the flat caches.
-  [[nodiscard]] bool cacheable(NodeId a, NodeId b,
-                               PhysicalChannel channel) const {
-    return a.value < num_nodes_ && b.value < num_nodes_ &&
-           channel < kNumChannels;
-  }
-
-  /// Flat index of the unordered pair (a, b) and channel: links are
-  /// symmetric, so the pair space is triangular (lo <= hi).
-  [[nodiscard]] std::size_t cache_index(NodeId a, NodeId b,
-                                        PhysicalChannel channel) const {
-    const std::size_t lo = std::min(a.value, b.value);
-    const std::size_t hi = std::max(a.value, b.value);
-    const std::size_t pair = lo * num_nodes_ - lo * (lo - 1) / 2 + (hi - lo);
-    return pair * kNumChannels + channel;
-  }
-
   PropagationConfig config_;
   std::uint64_t seed_;
   std::size_t num_nodes_{0};
 
-  // Static means per (link, channel); a link is only ever evaluated at a
-  // couple of distinct tx powers (the network-wide power and the 0 dBm
-  // default used by tools), so two inline slots suffice — anything beyond
-  // is computed uncached.
-  struct MeanEntry {
-    int count{0};
-    double power[2];
-    double mean[2];
-  };
-  mutable std::vector<MeanEntry> mean_cache_;
   // Precomputed link_key(a, b) for dense ids, indexed [a * N + b].
   std::vector<std::uint64_t> link_keys_;
 };

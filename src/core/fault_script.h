@@ -9,6 +9,7 @@
 // disturbance-after-convergence methodology).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -149,10 +150,16 @@ class FaultScript {
   /// burst starts — not recoveries). Repair-time measurement anchors here.
   [[nodiscard]] std::vector<SimDuration> disturbance_offsets() const;
 
+  /// Throws std::invalid_argument naming the first event whose node (a
+  /// crash, recover or clock-jump target, or a blackout endpoint) lies
+  /// outside a `num_nodes`-node layout.
+  void validate(std::size_t num_nodes) const;
+
   /// Schedules every event on the network's simulator, offsets relative to
   /// the current simulated time. Burst events register their jammer
   /// immediately (jammers are stateless; the macro on/off window gates
-  /// them), everything else becomes a timed simulator event.
+  /// them), everything else becomes a timed simulator event. Validates the
+  /// whole script first, so an invalid one schedules nothing.
   void install(Network& net) const;
 
  private:

@@ -8,7 +8,8 @@
 # missed sharding-speedup threshold on multi-core hardware; ext_jamming
 # on a jamming PDR collapse or swap-epoch schedule conflicts; ext_downlink
 # on an unbounded actuation-latency tail, tunnel invariant violations, or
-# replication failing to beat single-path through relay crashes).
+# replication failing to beat single-path through relay crashes), and the
+# repo benchmark's determinism self-test (perfbench/run.py --selftest).
 #
 # Usage: scripts/check.sh [preset...]   (default: default sanitize tsan)
 # Extra knobs pass through the environment: DIGS_BENCH_RUNS, DIGS_THREADS.
@@ -52,6 +53,11 @@ if printf '%s\n' "${presets[@]}" | grep -qx default; then
   (cd build/bench && ./ext_jamming)
   echo "==> gate: ext_downlink"
   (cd build/bench && ./ext_downlink)
+  # The repo benchmark's determinism self-test (reduced sizes): city_storm
+  # and city_sharded give one digest, and traced runs match untraced ones.
+  # Builds its own tree under .bench_build/.
+  echo "==> gate: perfbench self-test"
+  python3 perfbench/run.py --selftest
 else
   echo "==> bench gates skipped (default preset not selected)"
 fi

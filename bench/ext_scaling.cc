@@ -295,10 +295,10 @@ int main() {
     city_rows.push_back(serial);
     if (devices == 10000) ran_10k_serial = serial.result.generated > 0;
     if (devices == 5000) {
-      // Pipeline overhead: 8 shards on ONE worker thread runs the exact
-      // parallel code path (defer buffers, replay, per-shard arenas) with
-      // no pool, so run_s over serial run_s is the pure cost of the
-      // machinery. Gated at 5%.
+      // Pipeline overhead: 8 shards on ONE worker thread runs the sharded
+      // regions (work lists, defer buffers, replay) on a pool with no extra
+      // workers, inline on the caller, so run_s over serial run_s is the
+      // pure cost of the machinery. Gated at 5%.
       CityRow one_thread = run_city(devices, 90, 8, 1, config);
       print_city_row(one_thread);
       ran_5k_pair = true;
@@ -320,9 +320,10 @@ int main() {
       // Sharded 10k row with the profiler forced on: measures the serial
       // fraction of the parallel pipeline (the phases that cannot be
       // sharded — wake-heap drain, attempt buckets + on-air, reception
-      // compaction, ACK resolution — over the whole slot body) and the
-      // per-shard busy-time imbalance. On >=8-thread hardware it also
-      // runs on the full pool and gates the end-to-end speedup.
+      // compaction, ACK resolution, wake refresh — over the whole slot
+      // body) and the per-shard busy-time imbalance. On >=8-thread
+      // hardware it also runs on the full pool and gates the end-to-end
+      // speedup.
       threads_10k = hw >= 8 ? static_cast<std::size_t>(hw) : 1;
       const bool prof_was_on = prof::enabled();
       prof::force_enabled(true);
@@ -332,7 +333,8 @@ int main() {
       const std::uint64_t serial_ns = prof::total_ns(prof::kWakePop) +
                                       prof::total_ns(prof::kBucketBuild) +
                                       prof::total_ns(prof::kMergeCompact) +
-                                      prof::total_ns(prof::kAckResolve);
+                                      prof::total_ns(prof::kAckResolve) +
+                                      prof::total_ns(prof::kWakeRefresh);
       if (slot_total > 0) {
         serial_fraction_10k = static_cast<double>(serial_ns) /
                               static_cast<double>(slot_total);

@@ -264,7 +264,7 @@ void write_suite_json(std::FILE* out, const SuiteRow& row, bool last) {
 // The opposite regime from the idle-heavy 150-node scenario: a city floor
 // during network formation, where nearly every node scans every slot and
 // the wall-clock lives in the cell-indexed reception pipeline (bucket
-// gather, CSR merge-join, batched fading). This is the row the perf-smoke
+// gather, CSR row lookup, batched fading). This is the row the perf-smoke
 // regression gate watches.
 
 struct BusySlotRun {
@@ -423,6 +423,19 @@ int run_perf_smoke() {
   if (const char* env = std::getenv("DIGS_PERF_BASELINE")) {
     baseline_path = env;
   }
+  // Read the baseline first: a gate without one measures nothing, so a
+  // missing or malformed file fails before the runs instead of passing.
+  const bool write_baseline =
+      std::getenv("DIGS_PERF_WRITE_BASELINE") != nullptr;
+  const std::string baseline_text = read_file(baseline_path);
+  const double baseline = find_number(baseline_text, "slots_per_s");
+  if (!write_baseline && baseline <= 0) {
+    std::fprintf(stderr,
+                 "perf smoke FAILED: no slots_per_s baseline at %s (run with "
+                 "DIGS_PERF_WRITE_BASELINE=1 to create it)\n",
+                 baseline_path);
+    return 1;
+  }
   // The smoke always profiles: both the committed baseline and the current
   // run carry the same per-phase clock overhead, and a failing gate can
   // then attribute the regression to a slot-loop phase.
@@ -435,7 +448,7 @@ int run_perf_smoke() {
     if (run.slots_per_s > best.slots_per_s) best = run;
   }
 
-  if (std::getenv("DIGS_PERF_WRITE_BASELINE") != nullptr) {
+  if (write_baseline) {
     std::FILE* out = std::fopen(baseline_path, "w");
     if (out == nullptr) {
       std::fprintf(stderr, "could not write %s\n", baseline_path);
@@ -462,18 +475,14 @@ int run_perf_smoke() {
     return 0;
   }
 
-  const std::string baseline_text = read_file(baseline_path);
-  const double baseline = find_number(baseline_text, "slots_per_s");
-  if (baseline <= 0) {
-    std::fprintf(stderr,
-                 "perf smoke: no baseline at %s (run with "
-                 "DIGS_PERF_WRITE_BASELINE=1 to create it); skipping gate\n",
-                 baseline_path);
-    return 0;
-  }
   const double ratio = best.slots_per_s / baseline;
-  std::printf("perf smoke: %.3g slots/s vs baseline %.3g (%.2fx)\n",
-              best.slots_per_s, baseline, ratio);
+  // The host's thread count next to the baseline's: a baseline recorded on
+  // different hardware does not measure this host.
+  std::printf(
+      "perf smoke: %.3g slots/s (hardware_threads %u) vs baseline %.3g "
+      "(hardware_threads %.0f) (%.2fx)\n",
+      best.slots_per_s, bench::hardware_threads(), baseline,
+      find_number(baseline_text, "hardware_threads"), ratio);
   if (ratio < 0.8) {
     std::fprintf(stderr,
                  "perf smoke FAILED: busy-slot throughput regressed >20%% "

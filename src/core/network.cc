@@ -1,15 +1,13 @@
 #include "core/network.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "common/env.h"
 #include "common/prof.h"
 #include "core/invariant_monitor.h"
 
@@ -20,9 +18,9 @@ namespace {
 constexpr std::size_t kMaxShards = 64;
 
 /// A shard or thread count: `configured` when nonzero, else the environment
-/// variable `env_name` (unset or empty reads as 0, the default). Throws
-/// std::invalid_argument for a count above kMaxShards from either source
-/// and for an environment value that is not a plain decimal count.
+/// variable `env_name` (see env_count(); unset or empty reads as 0, the
+/// default). Throws std::invalid_argument for a count above kMaxShards from
+/// either source and for a malformed environment value.
 std::size_t shard_setting(std::size_t configured, const char* field,
                           const char* env_name) {
   if (configured != 0) {
@@ -33,16 +31,7 @@ std::size_t shard_setting(std::size_t configured, const char* field,
     }
     return configured;
   }
-  const char* env = std::getenv(env_name);
-  if (env == nullptr || *env == '\0') return 0;
-  const char* end = env + std::strlen(env);
-  std::size_t value = 0;
-  const auto [ptr, ec] = std::from_chars(env, end, value);
-  if (ec != std::errc{} || ptr != end || value > kMaxShards) {
-    throw std::invalid_argument(std::string(env_name) + "='" + env +
-                                "' is not a count in [0, 64]");
-  }
-  return value;
+  return env_count(env_name, kMaxShards);
 }
 
 std::size_t resolve_shards(std::size_t configured) {
@@ -1088,7 +1077,7 @@ void Network::resolve_listener(SlotReception& reception, std::size_t li,
   // Batched decode: one sequential walk over the gathered candidate arrays
   // (maybe_reachable prune -> guard -> sensitivity -> blackout -> SINR ->
   // hashed draw -> strongest-RSS capture), identical doubles and guard-miss
-  // accounting to calling reception.decode(t) per candidate here.
+  // accounting to Medium::check_reception() per candidate here.
   const SlotReception::DecodeOutcome outcome =
       reception.decode_candidates(slot_draw_seed);
   guard_misses += outcome.guard_misses;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "phy/cell_index.h"
 
@@ -11,13 +12,7 @@ Medium::Medium(const MediumConfig& config, std::vector<Position> positions,
                std::uint64_t seed)
     : config_(config),
       positions_(std::move(positions)),
-      // Compact mode (n above the flat-table cap) skips the dense link-key
-      // table too: it is O(N²). The CSR rows built by build_reachability()
-      // carry per-pair keys for the hot path instead.
-      propagation_(config.propagation, seed,
-                   positions_.size() <= config.flat_table_max_nodes
-                       ? positions_.size()
-                       : 0),
+      propagation_(config.propagation, seed),
       seed_(seed),
       noise_floor_mw_(std::pow(10.0, config.noise_floor_dbm / 10.0)) {
   prr_tables_.reserve(kPrebuiltPrrFrameBytes.size());
@@ -91,38 +86,18 @@ void Medium::set_link_blackout(NodeId a, NodeId b, bool blacked_out) {
 
 double Medium::rss_dbm(NodeId tx, NodeId rx, PhysicalChannel channel,
                        std::uint64_t slot, double tx_power_dbm) const {
-  // Fast path: at the primed TX power the static mean comes from the flat
-  // table (same double mean_rss_dbm() returns), leaving only the temporal
-  // fading draw. Any other power falls back to the full propagation path.
-  if (!mean_table_.empty() && tx_power_dbm == primed_power_dbm_ &&
-      channel < kNumChannels) {
-    const std::size_t n = positions_.size();
-    if (tx.value < n && rx.value < n) {
-      return mean_table_[(rx.value * kNumChannels + channel) * n + tx.value] +
-             propagation_.fading_db(tx, rx, channel, slot);
-    }
-  }
-  // Compact-mode fast path: mean and link key from the listener's CSR row.
-  // Pairs outside the row (beyond the grid neighborhood) fall through to the
-  // full computation, so rss_dbm() stays a pure model query for tools and
-  // tests — the coupling cutoff is applied by the reception/interference
-  // callers, not here.
-  if (!csr_offsets_.empty() && tx_power_dbm == primed_power_dbm_ &&
-      channel < kNumChannels) {
-    const std::size_t n = positions_.size();
-    if (tx.value < n && rx.value < n) {
-      const std::size_t o = csr_offsets_[rx.value];
-      const std::size_t len = csr_offsets_[rx.value + 1] - o;
-      const auto* begin = csr_cols_.data() + o;
-      const auto* end = begin + len;
-      const auto* it = std::lower_bound(begin, end, tx.value);
-      if (it != end && *it == tx.value) {
-        const auto idx = static_cast<std::size_t>(it - begin);
-        return csr_means_[o * kNumChannels + channel * len + idx] +
-               propagation_.fading_from_key(csr_keys_[o + idx], channel,
-                                            propagation_.fading_block(slot));
-      }
-    }
+  // Fast path: at the primed TX power the mean and link key come from the
+  // listener's row (the same doubles mean_rss_dbm() and link_key() return),
+  // leaving only the temporal fading draw. Other powers and pairs outside
+  // the row (beyond the grid neighborhood) take the full computation, so
+  // rss_dbm() stays a pure model query for tools and tests — the coupling
+  // cutoff is applied by the reception/interference callers, not here.
+  const LinkRow row = link_row(rx, tx_power_dbm);
+  const std::uint32_t i = row.find(tx.value);
+  if (i < row.len && channel < kNumChannels) {
+    return row.means[static_cast<std::size_t>(channel) * row.len + i] +
+           propagation_.fading_from_key(row.keys[i], channel,
+                                        propagation_.fading_block(slot));
   }
   return propagation_.rss_dbm(tx_power_dbm, tx, rx, positions_[tx.value],
                               positions_[rx.value], channel, slot);
@@ -309,73 +284,50 @@ void Medium::build_reachability(double tx_power_dbm) {
   // A pair is prunable only if EVERY channel's mean RSS sits more than the
   // provable fading excursion below the sensitivity; channels differ by the
   // static frequency-selective offsets, so each must be checked.
-  const double margin_db = propagation_.max_fading_db();
-  const double floor_dbm = config_.sensitivity_dbm - margin_db;
-  if (n <= config_.flat_table_max_nodes) {
-    // Flat mode: the historical O(N²) sweep fills the dense per-(rx,
-    // channel) mean table used by the rss_dbm() fast path. Means are
-    // computed for every pair (kept exact for model queries); only the
-    // candidate bit is additionally gated by the grid coupling, matching
-    // the reception paths.
-    csr_offsets_.clear();
-    csr_cols_.clear();
-    csr_keys_.clear();
-    csr_means_.clear();
-    mean_table_.assign(n * kNumChannels * n, -1e9);
-    for (std::uint16_t a = 0; a < n; ++a) {
-      for (std::uint16_t b = a + 1; b < n; ++b) {
-        bool candidate = false;
-        for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
-          const double mean =
-              mean_rss_dbm(NodeId{a}, NodeId{b}, ch, tx_power_dbm);
-          // Static components are symmetric: both directions share the mean.
-          mean_table_[(a * kNumChannels + ch) * n + b] = mean;
-          mean_table_[(b * kNumChannels + ch) * n + a] = mean;
-          if (mean >= floor_dbm) candidate = true;
-        }
-        // Links are symmetric in all static components.
-        if (candidate && grid_.coupled(a, b)) {
-          set_reachable(a, b);
-          set_reachable(b, a);
-        }
-      }
-    }
-    return;
-  }
-  // Compact mode: per-listener CSR rows over the grid neighborhood. Each
-  // row's means are the exact doubles mean_rss_dbm() returns (static
-  // components are symmetric, so direction does not matter), laid out
-  // channel-major so a listener's co-channel walk is contiguous. The self
-  // pair is excluded — every reception path skips it before any lookup.
-  mean_table_.clear();
+  const double floor_dbm =
+      config_.sensitivity_dbm - propagation_.max_fading_db();
+  // Row rx lists rx's 3×3 neighborhood, itself included, in ascending id
+  // order; an inactive grid's neighborhood is every node.
   csr_offsets_.assign(n + 1, 0);
   csr_cols_.clear();
-  csr_keys_.clear();
-  csr_means_.clear();
   std::vector<std::uint16_t> hood;
   for (std::size_t rx = 0; rx < n; ++rx) {
-    const auto rx_id = static_cast<std::uint16_t>(rx);
-    grid_.neighborhood(rx_id, hood);
-    const std::size_t row_start = csr_cols_.size();
-    for (const std::uint16_t col : hood) {
-      if (col == rx_id) continue;
-      csr_cols_.push_back(col);
-      csr_keys_.push_back(propagation_.link_key(NodeId{rx_id}, NodeId{col}));
-    }
-    const std::size_t len = csr_cols_.size() - row_start;
-    csr_means_.resize(csr_means_.size() + len * kNumChannels);
-    double* row = csr_means_.data() + row_start * kNumChannels;
-    for (std::size_t i = 0; i < len; ++i) {
-      const NodeId tx{csr_cols_[row_start + i]};
-      bool candidate = false;
-      for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
-        const double mean = mean_rss_dbm(tx, NodeId{rx_id}, ch, tx_power_dbm);
-        row[static_cast<std::size_t>(ch) * len + i] = mean;
-        if (mean >= floor_dbm) candidate = true;
-      }
-      if (candidate) set_reachable(tx.value, rx);
-    }
+    grid_.neighborhood(static_cast<std::uint16_t>(rx), hood);
+    csr_cols_.insert(csr_cols_.end(), hood.begin(), hood.end());
     csr_offsets_[rx + 1] = csr_cols_.size();
+  }
+  csr_keys_.resize(csr_cols_.size());
+  csr_means_.resize(csr_cols_.size() * kNumChannels);
+  // One pass over the unordered pairs: neighborhoods are symmetric, so the
+  // pair (a, b ≥ a) sits in row a and row b, and its means (static
+  // components are symmetric) and key are computed once for both. Rows are
+  // visited in ascending a, so row b receives its entries below b in
+  // ascending order and next[b] is always the slot of the current a.
+  std::vector<std::size_t> next(csr_offsets_.begin(), csr_offsets_.end() - 1);
+  double means[kNumChannels];
+  const auto store = [&](std::size_t row, std::size_t entry,
+                         std::uint64_t key) {
+    const std::size_t o = csr_offsets_[row];
+    const std::size_t len = csr_offsets_[row + 1] - o;
+    csr_keys_[entry] = key;
+    double* out = csr_means_.data() + o * kNumChannels + (entry - o);
+    for (int ch = 0; ch < kNumChannels; ++ch) out[ch * len] = means[ch];
+  };
+  for (std::size_t a = 0; a < n; ++a) {
+    const NodeId a_id{static_cast<std::uint16_t>(a)};
+    for (std::size_t entry = next[a]; entry < csr_offsets_[a + 1]; ++entry) {
+      const NodeId b_id{csr_cols_[entry]};
+      propagation_.mean_rss_channels(tx_power_dbm, a_id, b_id, positions_[a],
+                                     positions_[b_id.value], means);
+      const std::uint64_t key = propagation_.link_key(a_id, b_id);
+      store(a, entry, key);
+      if (b_id != a_id) store(b_id.value, next[b_id.value]++, key);
+      if (std::any_of(std::begin(means), std::end(means),
+                      [&](double m) { return m >= floor_dbm; })) {
+        set_reachable(a, b_id.value);
+        set_reachable(b_id.value, a);
+      }
+    }
   }
 }
 
@@ -401,8 +353,8 @@ Medium::ReceptionCheck Medium::check_reception(
   if (tx.sender == rx) return {};
   // Beyond the grid coupling cutoff nothing arrives at all — no preamble,
   // no guard-miss accounting, no interference from this frame here. The
-  // per-slot resolver applies the identical cutoff (its coupled-candidate
-  // stamp mask), so both paths return the same empty outcome.
+  // per-slot resolver applies the identical cutoff (its cell-gathered
+  // candidate list), so both paths return the same empty outcome.
   if (!coupled(tx.sender, rx)) return {};
   const double signal_dbm =
       rss_dbm(tx.sender, rx, tx.channel, slot, tx.tx_power_dbm);
@@ -431,14 +383,6 @@ double Medium::reception_probability(
   return check_reception(tx, rx, slot, slot_start, concurrent,
                          rx_clock_offset_us, guard_us, cells)
       .probability;
-}
-
-bool Medium::try_receive(const TransmissionAttempt& tx, NodeId rx,
-                         std::uint64_t slot, SimTime slot_start,
-                         std::span<const TransmissionAttempt> concurrent,
-                         Rng& rng) const {
-  return rng.chance(
-      reception_probability(tx, rx, slot, slot_start, concurrent));
 }
 
 }  // namespace digs

@@ -9,17 +9,19 @@
 //   - the thermal noise floor and radio sensitivity,
 // via the 802.15.4 SINR->PRR model and a Bernoulli draw.
 //
-// City-scale storage: build_reachability() partitions the deployment into
-// SpatialGrid cells sized by the provable decode radius. Deployments up to
-// flat_table_max_nodes keep the flat O(N²) mean table (the historical
-// bit-exact fast path); larger ones switch to per-cell sparse CSR rows that
-// hold only the 3×3-neighborhood pairs, and the Propagation link-key table
-// (O(N²)) is never allocated. Pairs outside a node's
-// neighborhood are uncoupled by model definition — no decode, no
-// interference — applied identically in this reference path and in the
-// per-slot SlotReception resolver, so the cutoff is shard-invariant.
+// Storage: build_reachability() partitions the deployment into SpatialGrid
+// cells sized by the provable decode radius and stores the static means in
+// one place at every node count: a CSR row per listener holding the 16
+// channel means and the link key of every node in its 3×3 cell
+// neighborhood (itself included). While the grid is inactive — every
+// paper-scale layout — that neighborhood is every node, so the rows are
+// dense and indexed by node id. Pairs outside a node's neighborhood are
+// uncoupled by model definition — no decode, no interference — applied
+// identically in this reference path and in the per-slot SlotReception
+// resolver, so the cutoff is shard-invariant.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -47,12 +49,6 @@ struct MediumConfig {
   double noise_floor_dbm = -95.0;
   /// CC2420 receiver sensitivity (dBm): frames below this are never decoded.
   double sensitivity_dbm = -94.0;
-  /// Largest node count for which the flat O(N²) mean-RSS table and the
-  /// Propagation link-key table are built. Above it the Medium runs in
-  /// compact mode: sparse per-cell CSR rows, no dense caches. The default
-  /// keeps every paper-scale layout on the historical flat path; tests
-  /// force compact mode with 0 to pin sparse == flat bit-for-bit.
-  std::size_t flat_table_max_nodes = 600;
   /// Spatial-grid cell size override (m); 0 derives it from the decode
   /// radius (TX power, sensitivity, ±6σ fading margin, path loss).
   double grid_cell_size_m = 0.0;
@@ -163,9 +159,9 @@ class Medium {
   /// margin of the sensitivity. Pairs outside the index have
   /// reception_probability == 0 on every channel and slot, so reception
   /// resolution never needs to visit them (coupled sub-threshold pairs still
-  /// contribute interference). Also builds the mean-RSS storage: the flat
-  /// per-(rx, channel) table up to flat_table_max_nodes, per-cell sparse CSR
-  /// rows beyond it. Safe to rebuild.
+  /// contribute interference). Also builds the per-listener rows (see
+  /// link_row()), computing each unordered pair's 16 channel means once for
+  /// both of its rows. Safe to rebuild.
   void build_reachability(double tx_power_dbm);
 
   /// True if (tx -> rx) could ever be decoded at the reachability index's
@@ -231,34 +227,34 @@ class Medium {
     return table_for(frame_bytes).prr(sinr_db);
   }
 
-  /// Contiguous per-transmitter mean-RSS row for (`rx`, `channel`) at the
-  /// primed TX power (`row[tx] == mean_rss_dbm(tx, rx, channel, power)`), or
-  /// nullptr when `power` differs from the primed power, no reachability
-  /// index was built, or the Medium runs in compact (sparse) mode. Lets the
-  /// per-slot resolver walk one short row instead of calling rss_dbm() per
-  /// pair.
-  [[nodiscard]] const double* mean_row(NodeId rx, PhysicalChannel channel,
-                                       double power) const {
-    if (mean_table_.empty() || power != primed_power_dbm_ ||
-        channel >= kNumChannels || rx.value >= positions_.size()) {
-      return nullptr;
-    }
-    return mean_table_.data() +
-           (rx.value * kNumChannels + channel) * positions_.size();
-  }
-
-  /// Compact mode's per-listener row: the CSR neighborhood of `rx` at the
-  /// primed power. `cols` are ascending transmitter ids, `means` is
-  /// channel-major (`means[ch * len + i]` = exact mean_rss_dbm double for
-  /// cols[i]), `keys` the per-pair link keys for the fading draw. `len == 0`
-  /// when sparse rows are unavailable (flat mode / unprimed power).
-  struct SparseRow {
+  /// Listener `rx`'s row at the primed power: `cols` lists every node
+  /// grid-coupled to `rx` (itself included) in ascending id order,
+  /// `means[ch * len + i]` is the exact mean_rss_dbm(cols[i], rx, ch, power)
+  /// double and `keys[i]` the pair's link key. `len == 0` when `power`
+  /// differs from the primed power or no reachability index was built.
+  struct LinkRow {
     const std::uint16_t* cols{nullptr};
     const double* means{nullptr};
     const std::uint64_t* keys{nullptr};
     std::uint32_t len{0};
+
+    /// Index of transmitter `tx` in `cols`, or `len` when the row lacks it.
+    /// `cols` is strictly ascending, so cols[i] >= i and cols[tx] == tx
+    /// holds only at tx's own entry: that probe answers every lookup in a
+    /// row spanning all nodes. Otherwise a binary search runs, starting at
+    /// `from` (the caller's previous hit) when the entry lies past it.
+    [[nodiscard]] std::uint32_t find(std::uint16_t tx,
+                                     std::uint32_t from = 0) const {
+      if (tx < len && cols[tx] == tx) return tx;
+      const std::uint16_t* first =
+          from < len && cols[from] < tx ? cols + from : cols;
+      const std::uint16_t* it = std::lower_bound(first, cols + len, tx);
+      return it != cols + len && *it == tx
+                 ? static_cast<std::uint32_t>(it - cols)
+                 : len;
+    }
   };
-  [[nodiscard]] SparseRow sparse_row(NodeId rx, double power) const {
+  [[nodiscard]] LinkRow link_row(NodeId rx, double power) const {
     if (csr_offsets_.empty() || power != primed_power_dbm_ ||
         rx.value >= positions_.size()) {
       return {};
@@ -266,18 +262,12 @@ class Medium {
     const std::size_t o = csr_offsets_[rx.value];
     const auto len =
         static_cast<std::uint32_t>(csr_offsets_[rx.value + 1] - o);
-    return SparseRow{csr_cols_.data() + o, csr_means_.data() + o * kNumChannels,
-                     csr_keys_.data() + o, len};
+    return LinkRow{csr_cols_.data() + o, csr_means_.data() + o * kNumChannels,
+                   csr_keys_.data() + o, len};
   }
 
-  /// The TX power the reachability index and mean table were built for.
+  /// The TX power the reachability index and rows were built for.
   [[nodiscard]] double primed_power_dbm() const { return primed_power_dbm_; }
-
-  /// Bernoulli reception draw.
-  [[nodiscard]] bool try_receive(
-      const TransmissionAttempt& tx, NodeId rx, std::uint64_t slot,
-      SimTime slot_start, std::span<const TransmissionAttempt> concurrent,
-      Rng& rng) const;
 
   [[nodiscard]] const MediumConfig& config() const { return config_; }
   [[nodiscard]] const Propagation& propagation() const { return propagation_; }
@@ -346,20 +336,11 @@ class Medium {
   // is one integer compare when no blackout is scripted.
   std::vector<std::uint8_t> blackouts_;
   int blackouts_active_{0};
-  // Flat mean-RSS table at the reachability index's TX power, indexed
-  // [(rx * kNumChannels + channel) * N + tx]: for a fixed listener and
-  // channel the per-transmitter means are contiguous, so the per-slot
-  // interference walk touches one short row instead of hashing into the
-  // triangular propagation cache per pair. Values are the exact doubles
-  // mean_rss_dbm() returns. Empty until build_reachability(), and never
-  // built in compact mode (the CSR rows below replace it).
-  std::vector<double> mean_table_;
-  // Compact mode's CSR rows over grid neighborhoods: row rx covers every
-  // transmitter in rx's 3×3 cell block. csr_means_ is channel-major per row
-  // (offset*kNumChannels + ch*len + i), so a listener's co-channel walk is
-  // contiguous. Empty in flat mode.
+  // Per-listener CSR rows over grid neighborhoods (see link_row()).
+  // csr_means_ is channel-major per row (offset*kNumChannels + ch*len + i),
+  // so a listener's co-channel means are contiguous.
   std::vector<std::size_t> csr_offsets_;   // [n + 1]
-  std::vector<std::uint16_t> csr_cols_;    // ascending tx ids per row
+  std::vector<std::uint16_t> csr_cols_;    // ascending ids per row
   std::vector<std::uint64_t> csr_keys_;    // link keys per entry
   std::vector<double> csr_means_;          // per entry × channel
   double primed_power_dbm_{0.0};

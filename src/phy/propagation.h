@@ -9,19 +9,18 @@
 // reciprocity of narrowband channels on the timescale of a slot.
 //
 // Every component is a pure function of its inputs and nothing is memoized
-// here: the slot loop reads static means from Medium's flat table or CSR
-// rows, which are built once, so a mean is recomputed only by those builds
-// and by whole-topology snapshots. The temporal fading draw is recomputed
-// statelessly per call: it is one table load, one hash, and an inverse-CDF
-// normal — cheaper than the multi-MB cache probe a per-(link, channel)
-// block memo costs at realistic revisit cadences.
+// here: the slot loop reads static means and link keys from Medium's
+// per-listener rows, which are built once, so a mean is recomputed only by
+// that build and by whole-topology snapshots. The temporal fading draw is
+// recomputed statelessly per call: it is one key load, one hash, and an
+// inverse-CDF normal — cheaper than the multi-MB cache probe a per-(link,
+// channel) block memo costs at realistic revisit cadences.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -72,24 +71,8 @@ inline constexpr double kFadingNormalBound = 6.0;
 /// Computes received signal strength for a (tx, rx, channel, slot) tuple.
 class Propagation {
  public:
-  /// `num_nodes` enables the dense link-key table (ids are dense 0..n-1);
-  /// 0 disables it.
-  Propagation(const PropagationConfig& config, std::uint64_t seed,
-              std::size_t num_nodes = 0)
-      : config_(config), seed_(seed), num_nodes_(num_nodes) {
-    if (num_nodes_ > 0) {
-      // Dense link-key table: the busy-slot path evaluates fading for every
-      // (listener, transmitter) pair each slot, so the per-call hash chain
-      // of link_key() is replaced by one small-table load (the keys are the
-      // exact values link_key() computes).
-      link_keys_.resize(num_nodes_ * num_nodes_);
-      for (std::uint16_t a = 0; a < num_nodes_; ++a) {
-        for (std::uint16_t b = 0; b < num_nodes_; ++b) {
-          link_keys_[a * num_nodes_ + b] = link_key(NodeId{a}, NodeId{b});
-        }
-      }
-    }
-  }
+  Propagation(const PropagationConfig& config, std::uint64_t seed)
+      : config_(config), seed_(seed) {}
 
   /// RSS in dBm at `rx_pos` for a transmission from `tx_pos` at
   /// `tx_power_dbm`. `a`/`b` identify the link endpoints for the hash-derived
@@ -100,24 +83,13 @@ class Propagation {
                                std::uint64_t slot) const;
 
   /// The temporal-fading component alone (dB) for (link, channel, slot):
-  /// the exact value rss_dbm() adds on top of mean_rss_dbm(). Exposed so
-  /// callers holding a precomputed mean (Medium's flat mean table) can
-  /// reconstruct rss_dbm() = mean + fading without recomputing the mean.
+  /// the exact value rss_dbm() adds on top of mean_rss_dbm().
   [[nodiscard]] double fading_db(NodeId a, NodeId b, PhysicalChannel channel,
                                  std::uint64_t slot) const;
 
   /// Coherence block index of `slot` (the temporal unit of fading redraws).
   [[nodiscard]] std::uint64_t fading_block(std::uint64_t slot) const {
     return slot / std::max<std::uint64_t>(config_.coherence_slots, 1);
-  }
-
-  /// Contiguous row of precomputed link keys for node `a`
-  /// (`row[b] == link_key(a, b)`), or nullptr when ids are not dense.
-  /// Lets a per-listener loop hoist the row lookup out of its pair walk.
-  [[nodiscard]] const std::uint64_t* link_key_row(NodeId a) const {
-    return !link_keys_.empty() && a.value < num_nodes_
-               ? link_keys_.data() + a.value * num_nodes_
-               : nullptr;
   }
 
   /// Pre-mixed (tag, channel, block) suffix of the fading hash; constant
@@ -162,6 +134,14 @@ class Propagation {
                                     const Position& rx_pos,
                                     PhysicalChannel channel) const;
 
+  /// mean_rss_dbm() on every channel at once: `out[ch]` is exactly
+  /// mean_rss_dbm(..., ch). The channel-independent terms are evaluated once
+  /// and the per-channel offset is the last addition in both, so the doubles
+  /// agree bit for bit.
+  void mean_rss_channels(double tx_power_dbm, NodeId a, NodeId b,
+                         const Position& tx_pos, const Position& rx_pos,
+                         double (&out)[kNumChannels]) const;
+
   [[nodiscard]] const PropagationConfig& config() const { return config_; }
 
   /// Largest fading excursion any rss_dbm() call can add on top of
@@ -171,10 +151,8 @@ class Propagation {
   }
 
   /// The symmetric per-link hash key all static draws derive from. Public
-  /// so Medium's sparse (CSR) rows can precompute per-pair keys when the
-  /// dense link_keys_ table is disabled (compact mode at large N). Inline:
-  /// the per-slot resolver recomputes it per candidate (three splitmix
-  /// rounds beat a missed cache line on the stored-key row).
+  /// so Medium's rows can store it per pair for the slot loop's fading
+  /// draws.
   [[nodiscard]] std::uint64_t link_key(NodeId a, NodeId b) const {
     // Symmetric: (a, b) and (b, a) share all static draws.
     const std::uint64_t lo = std::min(a.value, b.value);
@@ -183,12 +161,16 @@ class Propagation {
   }
 
  private:
+  /// Every term of mean_rss_dbm() but the channel offset, summed in the
+  /// same order.
+  [[nodiscard]] double static_rss_dbm(double tx_power_dbm, std::uint64_t key,
+                                      const Position& tx_pos,
+                                      const Position& rx_pos) const;
+  [[nodiscard]] double channel_offset_db(std::uint64_t key,
+                                         PhysicalChannel channel) const;
+
   PropagationConfig config_;
   std::uint64_t seed_;
-  std::size_t num_nodes_{0};
-
-  // Precomputed link_key(a, b) for dense ids, indexed [a * N + b].
-  std::vector<std::uint64_t> link_keys_;
 };
 
 }  // namespace digs

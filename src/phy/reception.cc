@@ -13,24 +13,12 @@ void SlotReception::begin_slot(std::uint64_t slot, SimTime slot_start,
   slot_ = slot;
   slot_start_ = slot_start;
   attempts_ = attempts;
-  rss_dbm_.resize(attempts.size());
-  mw_.resize(attempts.size());
-  // Invalidate every per-attempt entry: gen_ restarts above any stamp.
-  stamp_.assign(attempts.size(), 0);
-  gen_ = 0;
   if (cells != nullptr) {
     cells_ = cells;
   } else {
     own_cells_.build(medium_->grid(), attempts);
     cells_ = &own_cells_;
   }
-}
-
-void SlotReception::begin_listener(NodeId rx, PhysicalChannel channel,
-                                   double rx_clock_offset_us,
-                                   double guard_us) {
-  (void)begin_listener_gather(rx, channel, rx_clock_offset_us, guard_us);
-  accumulate_gathered();
 }
 
 std::span<const std::uint32_t> SlotReception::begin_listener_gather(
@@ -40,7 +28,6 @@ std::span<const std::uint32_t> SlotReception::begin_listener_gather(
   channel_ = channel;
   rx_clock_offset_us_ = rx_clock_offset_us;
   guard_us_ = guard_us;
-  ++gen_;
   // --- candidate gather ---
   // The cell buckets hand back exactly the grid-coupled attempts (plus
   // conservatively-coupled out-of-range senders); sorting restores the
@@ -86,55 +73,28 @@ std::span<const std::uint32_t> SlotReception::begin_listener_gather(
 }
 
 void SlotReception::prime_candidate_rows() {
-  const NodeId rx = rx_;
-  const std::size_t n = medium_->num_nodes();
-  primed_ = medium_->primed_power_dbm();
-  flat_row_ = medium_->mean_row(rx, channel_, primed_);
-  flat_keys_ = medium_->propagation().link_key_row(rx);
-  smeans_ = nullptr;
-  csr_path_ = false;
-  if (flat_row_ != nullptr && flat_keys_ != nullptr) return;
-  const Medium::SparseRow srow = medium_->sparse_row(rx, primed_);
-  if (srow.len == 0) return;
-  csr_path_ = true;
-  smeans_ = srow.means + static_cast<std::size_t>(channel_) * srow.len;
-  // Merge-join cursor walk: resolve each candidate's row index now — a
-  // serial, cheap scan over the uint16 cols array — and prefetch the matched
-  // mean entries so the scattered loads overlap whatever the caller does
-  // between gather and accumulate.
+  const double primed = medium_->primed_power_dbm();
+  row_ = channel_ < kNumChannels ? medium_->link_row(rx_, primed)
+                                 : Medium::LinkRow{};
+  const std::size_t channel_offset =
+      static_cast<std::size_t>(channel_) * row_.len;
+  // In-engine attempts are ascending in sender id (participant order), so
+  // each search starts at the previous hit; a row spanning every node
+  // answers from its direct probe without searching.
   const std::size_t num_cand = cand_.size();
   cand_idx_.resize(num_cand);
-  constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
-  std::size_t ri = 0;
-  std::size_t prev_sender = 0;
+  std::uint32_t from = 0;
   for (std::size_t i = 0; i < num_cand; ++i) {
     const TransmissionAttempt& other = attempts_[cand_[i]];
-    const std::size_t sender = other.sender.value;
-    if (sender >= n || other.tx_power_dbm != primed_) {
-      cand_idx_[i] = kNoEntry;
-      continue;
-    }
-    std::size_t idx;
-    if (sender >= prev_sender) {
-      // In-engine attempts are ascending in sender id (participant
-      // order), so the cursor only walks forward — O(T_local + row_len)
-      // for the whole candidate set.
-      while (ri < srow.len && srow.cols[ri] < sender) ++ri;
-      idx = ri;
-    } else {
-      // Out-of-order sender (standalone callers): re-seat by search.
-      idx = static_cast<std::size_t>(
-          std::lower_bound(srow.cols, srow.cols + srow.len,
-                           static_cast<std::uint16_t>(sender)) -
-          srow.cols);
-      ri = idx;
-    }
-    prev_sender = sender;
-    if (idx < srow.len && srow.cols[idx] == sender) {
-      cand_idx_[i] = static_cast<std::uint32_t>(idx);
-      __builtin_prefetch(smeans_ + idx);
-    } else {
-      cand_idx_[i] = kNoEntry;
+    // The row holds means at the primed power only.
+    const std::uint32_t idx = other.tx_power_dbm == primed
+                                  ? row_.find(other.sender.value, from)
+                                  : row_.len;
+    cand_idx_[i] = idx;
+    if (idx < row_.len) {
+      from = idx;
+      __builtin_prefetch(row_.means + channel_offset + idx);
+      __builtin_prefetch(row_.keys + idx);
     }
   }
 }
@@ -142,60 +102,34 @@ void SlotReception::prime_candidate_rows() {
 void SlotReception::accumulate_gathered() {
   const NodeId rx = rx_;
   const PhysicalChannel channel = channel_;
-  // --- pass 1: per-candidate (mean, fading key), or slow-path RSS ---
-  // Same per-term arithmetic as Medium's reference paths: the mean row
-  // (when the attempts are at the primed power) is the same table rss_dbm()
-  // reads, so mean + fading reproduces its exact doubles.
+  // --- pass 1: per-candidate (mean, link key), or slow-path RSS ---
+  // prime_candidate_rows() already resolved cand_idx_ and prefetched the
+  // row entries; the loads here are independent per iteration, so the
+  // prefetched lines and the out-of-order window overlap the misses. The
+  // row is the one rss_dbm() reads, so mean + fading reproduces its exact
+  // doubles; a candidate missing from the row (another TX power) takes
+  // rss_dbm()'s full computation.
   const Propagation& prop = medium_->propagation();
-  const std::size_t n = medium_->num_nodes();
-  const double primed = primed_;
-  const double* row = flat_row_;
-  const std::uint64_t* keys = flat_keys_;
+  const Medium::LinkRow row = row_;
+  const std::size_t channel_offset =
+      static_cast<std::size_t>(channel) * row.len;
   const std::uint64_t ftail =
       prop.fading_tail(channel, prop.fading_block(slot_));
-  const bool flat = row != nullptr && keys != nullptr;
   const std::size_t num_cand = cand_.size();
   cand_rss_.resize(num_cand);
+  cand_mw_.resize(num_cand);
   cand_mean_.resize(num_cand);
   cand_key_.resize(num_cand);
   cand_fast_.resize(num_cand);
   bool all_fast = true;
-  if (csr_path_) {
-    // CSR path: prime_candidate_rows() already resolved cand_idx_ and
-    // prefetched the mean entries; the loads here are independent per
-    // iteration, so the prefetched lines and the out-of-order window
-    // overlap the misses instead of serializing them behind the cursor.
-    // Same entries, same doubles — only the load schedule changes.
-    const double* smeans = smeans_;
-    constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < num_cand; ++i) {
-      const std::uint32_t idx = cand_idx_[i];
-      if (idx != kNoEntry) {
-        cand_mean_[i] = smeans[idx];
-        // Recompute the link key (three splitmix rounds) instead of loading
-        // csr_keys_[idx]: the ALU beats a second missed cache line per
-        // entry, and link_key() is exactly what the stored key holds.
-        cand_key_[i] =
-            prop.link_key(rx, attempts_[cand_[i]].sender);
-        cand_fast_[i] = 1;
-      } else {
-        const TransmissionAttempt& other = attempts_[cand_[i]];
-        cand_rss_[i] = medium_->rss_dbm(other.sender, rx, channel, slot_,
-                                        other.tx_power_dbm);
-        cand_fast_[i] = 0;
-        all_fast = false;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < num_cand; ++i) {
+  for (std::size_t i = 0; i < num_cand; ++i) {
+    const std::uint32_t idx = cand_idx_[i];
+    if (idx < row.len) {
+      cand_mean_[i] = row.means[channel_offset + idx];
+      cand_key_[i] = row.keys[idx];
+      cand_fast_[i] = 1;
+    } else {
       const TransmissionAttempt& other = attempts_[cand_[i]];
-      const std::size_t sender = other.sender.value;
-      if (flat && sender < n && other.tx_power_dbm == primed) {
-        cand_mean_[i] = row[sender];
-        cand_key_[i] = keys[sender];
-        cand_fast_[i] = 1;
-        continue;
-      }
       cand_rss_[i] = medium_->rss_dbm(other.sender, rx, channel, slot_,
                                       other.tx_power_dbm);
       cand_fast_[i] = 0;
@@ -223,16 +157,12 @@ void SlotReception::accumulate_gathered() {
   // --- pass 3: mW conversion + accumulation, ascending attempt index ---
   // Identical order and per-term arithmetic to Medium::interference_mw()
   // (which skips the same uncoupled terms via `continue` — they were never
-  // added there either), so the totals and every decode() subtraction match
+  // added there either), so the totals and every decode subtraction match
   // it bit-for-bit.
   double total_mw = 0.0;
   for (std::size_t i = 0; i < num_cand; ++i) {
-    const std::uint32_t t = cand_[i];
-    const double rss = cand_rss_[i];
-    const double mw = dbm_to_mw(rss);
-    rss_dbm_[t] = rss;
-    mw_[t] = mw;
-    stamp_[t] = gen_;
+    const double mw = dbm_to_mw(cand_rss_[i]);
+    cand_mw_[i] = mw;
     total_mw += mw;
   }
   total_mw_ = total_mw;
@@ -242,9 +172,8 @@ void SlotReception::accumulate_gathered() {
 SlotReception::DecodeOutcome SlotReception::decode_candidates(
     std::uint64_t slot_draw_seed) const {
   DecodeOutcome out;
-  // Every candidate is stamped (self/cross-channel were filtered in the
-  // gather), so the per-call stamp/self checks of decode() are vacuous here;
-  // the remaining sequence below is decode()'s, term for term.
+  // Self, cross-channel and uncoupled attempts were filtered in the gather;
+  // the sequence below is Medium::check_reception()'s, term for term.
   const double sensitivity = medium_->config().sensitivity_dbm;
   const double noise_mw = medium_->noise_floor_mw();
   const double total_mw = total_mw_;
@@ -261,15 +190,15 @@ SlotReception::DecodeOutcome SlotReception::decode_candidates(
     // skipping it changes no outcome.
     if (!medium_->maybe_reachable(tx.sender, rx)) continue;
     const double signal_dbm = cand_rss_[i];
-    // Guard check before the sensitivity cut, as in decode(): a guard miss
-    // is counted even for sub-threshold signals.
+    // Guard check before the sensitivity cut, as in check_reception(): a
+    // guard miss is counted even for sub-threshold signals.
     if (std::fabs(tx.clock_offset_us - rx_offset_us) > guard_us) {
       ++out.guard_misses;
       continue;
     }
     if (signal_dbm < sensitivity) continue;
     if (medium_->link_blacked_out(tx.sender, rx)) continue;
-    const double signal_mw = mw_[t];
+    const double signal_mw = cand_mw_[i];
     double interf_mw = total_mw - signal_mw;
     if (interf_mw < 0.0) interf_mw = 0.0;  // FP guard for the subtraction
     interf_mw += jammer_mw;
@@ -288,31 +217,6 @@ SlotReception::DecodeOutcome SlotReception::decode_candidates(
     }
   }
   return out;
-}
-
-Medium::ReceptionCheck SlotReception::decode(std::size_t t) const {
-  const TransmissionAttempt& tx = attempts_[t];
-  if (tx.sender == rx_) return {};
-  // Not a candidate of the current listener (grid cutoff or wrong channel):
-  // same empty outcome — no guard miss, no probability — as
-  // Medium::check_reception()'s early return.
-  if (stamp_[t] != gen_) return {};
-  const double signal_dbm = rss_dbm_[t];
-  // Same guard-miss check at the same sequence point as
-  // Medium::check_reception(): after the RSS, before the sensitivity cut.
-  if (std::fabs(tx.clock_offset_us - rx_clock_offset_us_) > guard_us_) {
-    return {0.0, signal_dbm, true};
-  }
-  if (signal_dbm < medium_->config().sensitivity_dbm) return {0.0, signal_dbm};
-  if (medium_->link_blacked_out(tx.sender, rx_)) return {0.0, signal_dbm};
-
-  double interf_mw = total_mw_ - mw_[t];
-  if (interf_mw < 0.0) interf_mw = 0.0;  // FP guard for the subtraction
-  interf_mw += jammer_mw_;
-  const double signal_mw = mw_[t];
-  const double sinr_db =
-      10.0 * std::log10(signal_mw / (medium_->noise_floor_mw() + interf_mw));
-  return {medium_->prr(tx.frame_bytes, sinr_db), signal_dbm};
 }
 
 }  // namespace digs

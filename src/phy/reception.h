@@ -11,14 +11,15 @@
 // grid-cell neighborhood (via a per-slot CellAttemptIndex): everything
 // farther away is uncoupled — exactly 0.0 mW, never decoded — in the
 // reference path too, so the bucket walk changes no double. Per listener the
-// cost is O(T_local); candidate (mean, fading-key) pairs are resolved by a
-// sender-sorted merge-join against the listener's CSR row, and the hash +
-// inverse-CDF fading draws are evaluated in one batched pass over the
-// gathered candidates.
+// cost is O(T_local); each candidate's (mean, link key) comes from the
+// listener's Medium row through the same LinkRow::find() lookup
+// Medium::rss_dbm() uses, and the hash + inverse-CDF fading draws are
+// evaluated in one batched pass over the gathered candidates.
 //
 // The arithmetic is ordered to match Medium::check_reception() term for
 // term (accumulation ascending by attempt index, same subtract-then-clamp,
-// same jammer sum appended last), so the two paths return IDENTICAL
+// same jammer sum appended last), so decode_candidates() reaches the
+// outcome a per-candidate check_reception() walk reaches, with IDENTICAL
 // doubles; the reception_pipeline_test pins this over randomized busy slots
 // on single- and multi-cell layouts.
 #pragma once
@@ -35,8 +36,8 @@
 namespace digs {
 
 /// Resolves all receptions of one TSCH slot against a Medium. Reusable
-/// scratch: construct once, call begin_slot() per slot, begin_listener()
-/// per listener, then decode() per candidate attempt.
+/// scratch: construct once, call begin_slot() per slot, then per listener
+/// begin_listener_gather(), accumulate_gathered() and decode_candidates().
 class SlotReception {
  public:
   explicit SlotReception(const Medium& medium) : medium_(&medium) {}
@@ -49,46 +50,31 @@ class SlotReception {
                   std::span<const TransmissionAttempt> attempts,
                   const CellAttemptIndex* cells = nullptr);
 
-  /// Computes the per-attempt RSS/mW at `rx` on `channel` and the listener's
-  /// interference accumulators (one pass over the neighborhood's attempts).
+  /// Stage 1: switches to listener `rx` on `channel` and gathers its
+  /// candidate list (cell buckets + channel/self filter + sort), WITHOUT the
+  /// RSS/fading/mW accumulation. Returns candidates().
   /// `rx_clock_offset_us`/`guard_us` feed the guard-time miss model exactly
   /// as in Medium::check_reception(); the defaults keep the listener
-  /// guard-exempt (pre-drift behavior). Equivalent to begin_listener_gather()
-  /// followed by accumulate_gathered().
-  void begin_listener(
-      NodeId rx, PhysicalChannel channel, double rx_clock_offset_us = 0.0,
-      double guard_us = std::numeric_limits<double>::infinity());
-
-  /// Stage 1 of begin_listener(): switches to the new listener and gathers
-  /// its candidate list (cell buckets + channel/self filter + sort), WITHOUT
-  /// the RSS/fading/mW accumulation. Returns candidates(). Callers that can
-  /// prove the listener's outcome is empty from the candidate ids alone —
-  /// Network skips listeners none of whose candidates are maybe_reachable(),
-  /// since a pruned pair's decode is the zero outcome with no guard miss —
-  /// avoid stage 2 entirely. decode() MUST NOT be called until
-  /// accumulate_gathered() has run for the current listener.
+  /// guard-exempt (pre-drift behavior). Callers that can prove the
+  /// listener's outcome is empty from the candidate ids alone — Network
+  /// skips listeners none of whose candidates are maybe_reachable(), since
+  /// a pruned pair's decode is the zero outcome with no guard miss — avoid
+  /// stage 2 entirely.
   [[nodiscard]] std::span<const std::uint32_t> begin_listener_gather(
       NodeId rx, PhysicalChannel channel, double rx_clock_offset_us = 0.0,
       double guard_us = std::numeric_limits<double>::infinity());
 
-  /// Stage 2 of begin_listener(): the batched mean/merge-join -> fading ->
-  /// mW accumulation over the gathered candidates, after which decode() is
-  /// valid for the current listener.
+  /// Stage 2: the batched mean/key -> fading -> mW accumulation over the
+  /// gathered candidates, after which decode_candidates() is valid for the
+  /// current listener.
   void accumulate_gathered();
 
   /// The current listener's candidate attempts (ascending attempt index):
   /// every co-channel, non-self, grid-coupled entry of the slot's attempt
-  /// span. decode() of anything else returns the empty outcome, so callers
-  /// can drive their decode loop off this instead of rescanning the slot.
+  /// span. Nothing else can decode or interfere at the listener.
   [[nodiscard]] std::span<const std::uint32_t> candidates() const {
     return cand_;
   }
-
-  /// Decode check of attempts[t] for the current listener. Identical doubles
-  /// to Medium::check_reception(attempts[t], rx, ...). Attempts outside
-  /// candidates() (self, cross-channel, uncoupled) return the same empty
-  /// outcome as the reference.
-  [[nodiscard]] Medium::ReceptionCheck decode(std::size_t t) const;
 
   /// Result of decode_candidates(): the winning transmitter (attempt index,
   /// -1 when nothing decoded) with its RSS, plus the listener's guard-miss
@@ -105,19 +91,18 @@ class SlotReception {
   /// (slot_draw_seed, rx, sender); the strongest-RSS passer wins. One
   /// sequential walk over the gathered arrays with the per-call constants
   /// (sensitivity, noise floor, totals) hoisted — identical doubles and
-  /// identical guard-miss accounting to calling decode() per candidate with
-  /// the same prune, just without L*T scattered calls. Requires
-  /// accumulate_gathered() for the current listener.
+  /// identical guard-miss accounting to Medium::check_reception() per
+  /// candidate with the same prune. Requires accumulate_gathered() for the
+  /// current listener.
   [[nodiscard]] DecodeOutcome decode_candidates(
       std::uint64_t slot_draw_seed) const;
 
  private:
   // Runs at the tail of begin_listener_gather(): resolves each candidate's
-  // CSR row index with the serial merge-join cursor (a cheap forward scan
-  // over the uint16 cols array) and issues prefetches for the matched mean
-  // entries. Doing this in stage 1 lets the caller's work between the two
-  // stages (Network's reachability pre-scan) overlap the scattered mean-row
-  // loads that dominate stage 2.
+  // row index with LinkRow::find() and prefetches the matched mean and key.
+  // Doing this in stage 1 lets the caller's work between the two stages
+  // (Network's reachability pre-scan) overlap the scattered row loads that
+  // dominate stage 2.
   void prime_candidate_rows();
 
   const Medium* medium_;
@@ -132,26 +117,15 @@ class SlotReception {
   PhysicalChannel channel_{0};
   double rx_clock_offset_us_{0.0};
   double guard_us_{std::numeric_limits<double>::infinity()};
-  std::vector<double> rss_dbm_;  // per attempt; valid iff stamped
-  std::vector<double> mw_;       // per attempt; valid iff stamped
-  // Explicit coupled-candidate mask: stamp_[t] == gen_ marks the entries
-  // begin_listener() resolved for the current listener; everything else
-  // (uncoupled, cross-channel) holds stale data decode() must not read.
-  // Replaces the former -1.0e9 in-band RSS sentinel.
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t gen_{0};
   // Candidate scratch (per listener): attempt indices ascending, and the
   // parallel arrays the batched mean/key -> fading -> mW passes fill.
   std::vector<std::uint32_t> cand_;
-  std::vector<std::uint32_t> cand_idx_;  // CSR row index per candidate
-  // Row pointers resolved by prime_candidate_rows() for the current
-  // listener, consumed by accumulate_gathered().
-  const double* flat_row_{nullptr};
-  const std::uint64_t* flat_keys_{nullptr};
-  const double* smeans_{nullptr};  // CSR mean row for (rx, channel)
-  double primed_{0.0};
-  bool csr_path_{false};
+  std::vector<std::uint32_t> cand_idx_;  // row index per candidate
+  // The listener's row, resolved by prime_candidate_rows() and consumed by
+  // accumulate_gathered(); row_.len marks a candidate missing from it.
+  Medium::LinkRow row_;
   std::vector<double> cand_rss_;
+  std::vector<double> cand_mw_;
   std::vector<double> cand_mean_;
   std::vector<std::uint64_t> cand_key_;
   std::vector<std::uint8_t> cand_fast_;

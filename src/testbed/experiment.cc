@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "common/env.h"
 #include "common/stats.h"
 #include "core/invariant_monitor.h"
 
@@ -87,9 +87,6 @@ ExperimentRunner::ExperimentRunner(const TestbedLayout& layout,
   net.node.orchestra_sender_based = config.orchestra_sender_based;
   net.medium = default_medium_config();
   net.medium.propagation.path_loss_exponent = layout.path_loss_exponent;
-  if (config.medium_flat_table_max_nodes.has_value()) {
-    net.medium.flat_table_max_nodes = *config.medium_flat_table_max_nodes;
-  }
   net.node.etx.admission_rss_dbm = layout.admission_rss_dbm;
   net.use_slot_engine = config.use_slot_engine;
   net.monitor_invariants = config.monitor_invariants;
@@ -400,10 +397,7 @@ ExperimentResult ExperimentRunner::run() {
 }
 
 std::size_t trial_threads() {
-  if (const char* env = std::getenv("DIGS_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
+  if (const std::size_t n = env_count("DIGS_THREADS"); n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

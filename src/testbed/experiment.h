@@ -123,10 +123,6 @@ struct ExperimentConfig {
   /// NetworkConfig::shard_threads): 0 defers to DIGS_SHARD_THREADS, then
   /// min(shards, hardware threads).
   std::size_t shard_threads = 0;
-  /// Override for MediumConfig::flat_table_max_nodes (the flat-vs-sparse
-  /// storage cutover); tests force compact mode with 0 to pin sparse ==
-  /// flat bit-identity on small layouts.
-  std::optional<std::size_t> medium_flat_table_max_nodes;
 
   // --- multipath downlink tunnels + closed-loop control workload ---
 
@@ -321,8 +317,10 @@ struct TrialSpec {
 };
 
 /// Worker count for run_trials() and the bench parallel_map(): the
-/// DIGS_THREADS environment variable when set (>0), otherwise the
-/// hardware concurrency (min 1).
+/// DIGS_THREADS environment variable when it holds a count above 0,
+/// otherwise (unset, empty or 0) the hardware concurrency (min 1). A value
+/// that is not a plain decimal count throws std::invalid_argument (see
+/// env_count()).
 [[nodiscard]] std::size_t trial_threads();
 
 /// Runs every trial on a small thread pool and returns the results in

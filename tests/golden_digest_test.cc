@@ -173,10 +173,9 @@ ExperimentConfig composed_config() {
   return config;
 }
 
-ExperimentConfig city_config(bool force_csr) {
+ExperimentConfig city_config() {
   ExperimentConfig config = small_config(ProtocolSuite::kDigs, 3);
   config.num_flows = 8;
-  if (force_csr) config.medium_flat_table_max_nodes = 0;
   return config;
 }
 
@@ -204,8 +203,7 @@ std::vector<GoldenCase> golden_cases() {
       {"wirelesshart_seed12", half,
        small_config(ProtocolSuite::kWirelessHart, 12), 0x2B08A4F0BE8B0DABULL},
       {"composed", half, composed_config(), 0x06EA1EE6CA2D7A21ULL},
-      {"city_flat", city, city_config(false), 0xBA5A3AAC881A0EFEULL},
-      {"city_csr", city, city_config(true), 0xBA5A3AAC881A0EFEULL},
+      {"city", city, city_config(), 0xBA5A3AAC881A0EFEULL},
   };
 }
 

@@ -420,20 +420,5 @@ TEST(MediumTest, MultipleJammersAccumulate) {
   EXPECT_LT(eight, one);  // 8x the interference power
 }
 
-TEST(MediumTest, TryReceiveDeterministicWithSameRng) {
-  Medium medium = make_medium(28.0);
-  TransmissionAttempt tx;
-  tx.sender = NodeId{0};
-  tx.channel = 3;
-  tx.frame_bytes = 110;
-  Rng rng_a(5);
-  Rng rng_b(5);
-  for (std::uint64_t slot = 0; slot < 50; ++slot) {
-    EXPECT_EQ(
-        medium.try_receive(tx, NodeId{1}, slot, SimTime{0}, {}, rng_a),
-        medium.try_receive(tx, NodeId{1}, slot, SimTime{0}, {}, rng_b));
-  }
-}
-
 }  // namespace
 }  // namespace digs

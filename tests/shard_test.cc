@@ -9,17 +9,14 @@
 // order after the barrier — so PDR, energy, desync, and every other
 // observable must match exactly (no tolerances) across the full
 // {1, 2, 8} shards x {1, 2, 4} worker-threads matrix, including under a
-// fault script with clock drift enabled. Also pins that compact (sparse
-// CSR) medium storage reproduces the flat-table results bit-for-bit, that
-// a deployment wide enough to activate the spatial grid stays invariant
-// with cell-based shard assignment, and that malformed shard settings are
-// rejected rather than clamped.
+// fault script with clock drift enabled. Also pins that a deployment wide
+// enough to activate the spatial grid stays invariant with cell-based
+// shard assignment, and that malformed shard settings are rejected rather
+// than clamped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -28,6 +25,7 @@
 #include "core/fault_script.h"
 #include "testbed/experiment.h"
 #include "testbed/layouts.h"
+#include "scoped_env.h"
 #include "test_layouts.h"
 
 namespace digs {
@@ -180,48 +178,9 @@ TEST(ShardInvarianceCityGrid, BitIdenticalWithActiveGrid) {
   EXPECT_GT(serial.result.delivered, 0u);
 }
 
-// Compact-mode (sparse CSR) storage must reproduce the flat-table run
-// bit-for-bit: the CSR means are the same doubles, the link keys feed the
-// same fading draws, and the coupling cutoff is applied identically in
-// both modes. Forcing flat_table_max_nodes = 0 puts a small layout on the
-// compact path where every pair is still coupled (2x2 grid) on
-// half_testbed_a, and on the pruning path for the city layout.
-TEST(SparseMediumEquivalence, CompactMatchesFlatBitForBit) {
-  for (const bool city : {false, true}) {
-    const TestbedLayout layout = city ? city_layout() : half_testbed_a();
-    ExperimentConfig config = small_config(ProtocolSuite::kDigs, 4);
-    const RunSnapshot flat = run_once(layout, config, 1);
-    config.medium_flat_table_max_nodes = 0;  // force compact mode
-    const RunSnapshot sparse = run_once(layout, config, 1);
-    SCOPED_TRACE(city ? "city" : "half_testbed_a");
-    expect_identical(sparse, flat);
-  }
-}
-
 // --- malformed shard settings are rejected, not clamped ---
 
-// Sets an environment variable for one scope and restores its previous
-// value (or absence) on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_) {
-      ::setenv(name_, old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
+using testing_env::ScopedEnv;
 
 std::size_t built_shards(std::size_t shards, std::size_t threads = 0) {
   ExperimentConfig config = small_config(ProtocolSuite::kDigs, 1);

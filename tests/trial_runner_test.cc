@@ -4,13 +4,20 @@
 // threading is purely a wall-clock optimization, never a trajectory change.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstddef>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "scoped_env.h"
 #include "testbed/experiment.h"
 
 namespace digs {
 namespace {
+
+using testing_env::ScopedEnv;
 
 std::vector<TrialSpec> small_trials() {
   std::vector<TrialSpec> trials;
@@ -65,15 +72,32 @@ TEST(TrialRunnerTest, ParallelMatchesSequentialBitIdentically) {
 }
 
 TEST(TrialRunnerTest, ThreadCountComesFromEnvironment) {
-  // DIGS_THREADS pins the worker count; unset falls back to the hardware.
-  ::setenv("DIGS_THREADS", "3", /*overwrite=*/1);
-  EXPECT_EQ(trial_threads(), 3u);
-  ::setenv("DIGS_THREADS", "1", 1);
-  EXPECT_EQ(trial_threads(), 1u);
-  ::setenv("DIGS_THREADS", "garbage", 1);
-  EXPECT_GE(trial_threads(), 1u);  // unparsable -> hardware fallback
-  ::unsetenv("DIGS_THREADS");
-  EXPECT_GE(trial_threads(), 1u);
+  // DIGS_THREADS pins the worker count; empty or 0 means the hardware.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t hardware = hw > 0 ? hw : 1;
+  for (const auto& [value, expected] :
+       {std::pair<const char*, std::size_t>{"3", 3}, {"1", 1}, {"12", 12},
+        {"", hardware}, {"0", hardware}}) {
+    const ScopedEnv env("DIGS_THREADS", value);
+    EXPECT_EQ(trial_threads(), expected) << "DIGS_THREADS='" << value << "'";
+  }
+}
+
+// Anything but a plain decimal count is rejected loudly, by the same
+// parser DIGS_SHARDS uses, instead of running some other worker count.
+TEST(TrialRunnerTest, MalformedThreadCountThrows) {
+  for (const char* value : {"abc", "-1", "4x", " 4", "+4"}) {
+    const ScopedEnv env("DIGS_THREADS", value);
+    SCOPED_TRACE(std::string("DIGS_THREADS='") + value + "'");
+    try {
+      (void)trial_threads();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("DIGS_THREADS"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)run_trials(small_trials(), 0), std::invalid_argument);
+  }
 }
 
 TEST(TrialRunnerTest, EmptyAndSingleTrialDegenerate) {

@@ -179,6 +179,31 @@ ExperimentConfig city_config() {
   return config;
 }
 
+/// The ext_downlink relay-crash smoke shape: replicated tunnels under two
+/// control loops, SlotSwapper epochs and tunnel-relay strikes, monitor off
+/// so the node regions run sharded. Its duplicate suppressions and
+/// replication wins/losses are raised inside those regions.
+ExperimentConfig downlink_sharded_config() {
+  ExperimentConfig config;
+  config.suite = ProtocolSuite::kDigs;
+  config.seed = 53'000;
+  config.num_flows = 4;
+  config.warmup = seconds(std::int64_t{120});
+  config.duration = seconds(std::int64_t{90});
+  config.enable_tunnels = true;
+  config.tunnel_replication = true;
+  config.control_loops = 2;
+  config.control_period = seconds(std::int64_t{2});
+  config.control_deadline = seconds(std::int64_t{5});
+  config.randomize_schedule = true;
+  config.randomize_epoch = seconds(std::int64_t{30});
+  config.crash_tunnel_relay_after = seconds(std::int64_t{60});
+  config.crash_tunnel_relay_downtime = seconds(std::int64_t{30});
+  config.crash_tunnel_relay_cycles = 3;
+  config.monitor_invariants = false;
+  return config;
+}
+
 struct GoldenCase {
   std::string name;
   TestbedLayout layout;
@@ -204,6 +229,8 @@ std::vector<GoldenCase> golden_cases() {
        small_config(ProtocolSuite::kWirelessHart, 12), 0x2B08A4F0BE8B0DABULL},
       {"composed", half, composed_config(), 0x06EA1EE6CA2D7A21ULL},
       {"city", city, city_config(), 0xBA5A3AAC881A0EFEULL},
+      {"downlink_sharded", half, downlink_sharded_config(),
+       0x763EF1765770AA1DULL},
   };
 }
 
@@ -244,6 +271,21 @@ TEST(GoldenDigestCoverage, ComposedRunEngagesEveryFeature) {
   EXPECT_GT(result.tunnel_rebuilds, 0u);
   EXPECT_GT(result.victim_tx_attempts, 0u);
   EXPECT_NE(runner.network().invariant_monitor(), nullptr);
+}
+
+// The downlink_sharded digest pins the replication counters only if the
+// duplicate / replication-loss path actually runs, inside sharded regions.
+TEST(GoldenDigestCoverage, DownlinkShardedRunCountsReplication) {
+  ExperimentConfig config = downlink_sharded_config();
+  config.shards = 4;
+  config.shard_threads = 2;
+  ExperimentRunner runner(half_testbed_a(), config);
+  const ExperimentResult result = runner.run();
+  EXPECT_EQ(runner.network().num_shards(), 4u);
+  EXPECT_EQ(runner.network().invariant_monitor(), nullptr);
+  EXPECT_GT(result.replication_wins, 0u);
+  EXPECT_GT(result.replication_losses, 0u);
+  EXPECT_GT(result.duplicates_suppressed, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, GoldenDigest,

@@ -150,9 +150,10 @@ class FaultScript {
   /// burst starts — not recoveries). Repair-time measurement anchors here.
   [[nodiscard]] std::vector<SimDuration> disturbance_offsets() const;
 
-  /// Throws std::invalid_argument naming the first event whose node (a
-  /// crash, recover or clock-jump target, or a blackout endpoint) lies
-  /// outside a `num_nodes`-node layout.
+  /// Throws std::invalid_argument naming the first event with a negative
+  /// offset, a blackout or burst with a negative duration, or a node (a
+  /// crash, recover or clock-jump target, or a blackout endpoint) outside
+  /// a `num_nodes`-node layout.
   void validate(std::size_t num_nodes) const;
 
   /// Schedules every event on the network's simulator, offsets relative to

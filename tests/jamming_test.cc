@@ -486,7 +486,6 @@ JamSnapshot run_jammed(std::size_t shards, std::size_t threads) {
   ExperimentConfig config = randomized_config(ProtocolSuite::kDigs, 31);
   config.monitor_invariants = false;  // the monitor unshards node regions
   config.num_reactive_jammers = 2;
-  config.reactive_epoch_slots = 1510;
   config.jammer_start_after = seconds(std::int64_t{0});
   config.shards = shards;
   config.shard_threads = threads;

@@ -53,8 +53,6 @@ std::size_t resolve_shard_threads(std::size_t configured, std::size_t shards) {
 
 }  // namespace
 
-thread_local Network::ShardCtx* Network::t_shard_ctx_ = nullptr;
-
 Network::~Network() = default;
 
 Network::Network(const NetworkConfig& config, std::vector<Position> positions)
@@ -86,43 +84,41 @@ Network::Network(const NetworkConfig& config, std::vector<Position> positions)
   shard_tx_.resize(num_shards_);
   shard_rx_.resize(num_shards_);
   defer_bufs_.resize(num_shards_);
-  shard_ctx_.resize(num_shards_);
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    shard_ctx_[s].defer = &defer_bufs_[s];
-  }
   shard_busy_ns_.assign(num_shards_, 0);
   // Hot struct-of-arrays storage, sized before any Node is constructed so
   // the pointers handed to nodes stay stable for the network's lifetime.
   alive_.assign(medium_.num_nodes(), 1);
   meters_.assign(medium_.num_nodes(), EnergyMeter{config.node.power});
-  best_parent_.assign(medium_.num_nodes(), kNoNode);
   Node::Hooks hooks;
   // The stats collector dedups first-wins per (flow, seq), so it must see
-  // records in serial arrival order: inside a parallel region the hooks
-  // divert into the shard's side-buffer under the current site key and
-  // drain_shard_ctxs() replays them sorted — the serial order.
+  // records in serial arrival order: run_in_order applies them at once on
+  // a serial path and, inside a parallel region, at the region's replay
+  // under the current site key — the serial order either way.
   hooks.on_data_delivered = [this](NodeId /*ap*/, const DataPayload& payload,
                                    SimTime now) {
-    if (ShardCtx* ctx = t_shard_ctx_) {
-      ctx->stats.push_back(StatOp{ctx->defer->next_key(), payload.flow,
-                                  payload.seq, now, DropReason::kOther,
-                                  /*delivered=*/true, payload.tunnel,
-                                  /*at_final_dst=*/true});
-      return;
-    }
-    apply_delivered(payload.flow, payload.seq, now, payload.tunnel);
+    sim_.run_in_order([this, flow = payload.flow, seq = payload.seq, now,
+                       tunnel = payload.tunnel] {
+      // A delivery whose first arriving copy rode the backup tunnel is a
+      // replication win: the primary copy lost the race (or the path).
+      const bool first = !stats_.was_delivered(flow, seq);
+      stats_.on_delivered(flow, seq, now);
+      if (first && tunnel == 2) ++replication_wins_;
+    });
   };
   hooks.on_data_lost = [this](NodeId node, const DataPayload& payload,
                               DropReason reason, SimTime now) {
-    if (ShardCtx* ctx = t_shard_ctx_) {
-      ctx->stats.push_back(StatOp{ctx->defer->next_key(), payload.flow,
-                                  payload.seq, now, reason,
-                                  /*delivered=*/false, payload.tunnel,
-                                  node == payload.final_dst});
-      return;
-    }
-    apply_dropped(payload.flow, payload.seq, now, reason, payload.tunnel,
-                  node == payload.final_dst);
+    sim_.run_in_order([this, flow = payload.flow, seq = payload.seq, now,
+                       reason, tunnel = payload.tunnel,
+                       at_final_dst = node == payload.final_dst] {
+      if (reason == DropReason::kDuplicate && tunnel != 0) {
+        ++duplicates_suppressed_;
+        // Suppressed at the egress itself: the other copy already
+        // delivered, so this one was pure redundancy (the replication-loss
+        // counter).
+        if (at_final_dst) ++replication_losses_;
+      }
+      stats_.on_dropped(flow, seq, now, reason);
+    });
   };
   hooks.on_joined = [this](NodeId id, SimTime now) {
     joined_at_[id.value] = now;
@@ -155,9 +151,6 @@ Network::Network(const NetworkConfig& config, std::vector<Position> positions)
     return nodes_[best_ap]->inject_downlink(payload, now);
   };
   hooks.on_wakeup_changed = [this](NodeId id) { on_node_wake_dirty(id); };
-  hooks.on_parent_changed = [this](NodeId id, NodeId parent) {
-    best_parent_[id.value] = parent;
-  };
   if (config_.monitor_invariants) {
     hooks.on_topology_audit = [this](NodeId id, SimTime now) {
       if (monitor_) monitor_->on_topology_changed(id, now);
@@ -274,7 +267,6 @@ void Network::start() {
   // point are ignored because next_wake_ is empty).
   if (config_.use_slot_engine) {
     next_wake_.assign(n, kNeverOccupied);
-    wake_heaps_.assign(num_shards_, WakeHeap{});
     scanning_.assign(n, 0);
     scanners_.clear();
     listen_buckets_.clear();
@@ -364,27 +356,6 @@ void Network::generate_flow_packet(std::size_t flow_index) {
   }
   sim_.schedule_after(flow.period,
                       [this, flow_index] { generate_flow_packet(flow_index); });
-}
-
-void Network::apply_delivered(FlowId flow, std::uint32_t seq, SimTime at,
-                              std::uint8_t tunnel) {
-  // A delivery whose first arriving copy rode the backup tunnel is a
-  // replication win: the primary copy lost the race (or the path).
-  const bool first = !stats_.was_delivered(flow, seq);
-  stats_.on_delivered(flow, seq, at);
-  if (first && tunnel == 2) ++replication_wins_;
-}
-
-void Network::apply_dropped(FlowId flow, std::uint32_t seq, SimTime at,
-                            DropReason reason, std::uint8_t tunnel,
-                            bool at_final_dst) {
-  if (reason == DropReason::kDuplicate && tunnel != 0) {
-    ++duplicates_suppressed_;
-    // Suppressed at the egress itself: the other copy already delivered,
-    // so this one was pure redundancy (the replication-loss counter).
-    if (at_final_dst) ++replication_losses_;
-  }
-  stats_.on_dropped(flow, seq, at, reason);
 }
 
 bool Network::inject_tunnel_downlink(FlowId flow, std::uint32_t seq,
@@ -630,16 +601,16 @@ void Network::run_region(std::size_t shards, Fn&& fn) {
   const bool pf = prof::enabled();
   auto task = [&](std::size_t s) {
     const std::uint64_t t0 = pf ? prof::now_ns() : 0;
-    ShardCtx& ctx = shard_ctx_[s];
-    t_shard_ctx_ = &ctx;
-    Simulator::set_defer_buffer(ctx.defer);
+    Simulator::set_defer_buffer(&defer_bufs_[s]);
     fn(s);
     Simulator::set_defer_buffer(nullptr);
-    t_shard_ctx_ = nullptr;
     if (pf) shard_busy_ns_[s] += prof::now_ns() - t0;
   };
   pool_->run(shards, task);
-  drain_shard_ctxs();
+  // The serial post-barrier merge: nothing else runs between the barrier
+  // and this replay, so the sorted keys reproduce the serial effect order
+  // and seq values.
+  sim_.replay_deferred(defer_bufs_.data(), shards);
 }
 
 template <typename NodeOf>
@@ -649,39 +620,6 @@ void Network::partition_by_shard(
   for (std::vector<std::uint32_t>& list : lists) list.clear();
   for (std::size_t k = 0; k < n; ++k) {
     lists[shard_of_node_[node_of(k)]].push_back(static_cast<std::uint32_t>(k));
-  }
-}
-
-void Network::drain_shard_ctxs() {
-  // 1) Simulator ops, globally sorted by site key: the exact serial event
-  //    sequence, including seq numbers (nothing else schedules between a
-  //    region's barrier and this replay).
-  sim_.replay_deferred(defer_bufs_.data(), num_shards_);
-  // 2) Stat records, same key space: the collector's first-wins dedup sees
-  //    serial arrival order.
-  for (ShardCtx& ctx : shard_ctx_) {
-    for (StatOp& op : ctx.stats) stat_replay_.push_back(&op);
-  }
-  std::stable_sort(
-      stat_replay_.begin(), stat_replay_.end(),
-      [](const StatOp* a, const StatOp* b) { return a->key < b->key; });
-  for (const StatOp* op : stat_replay_) {
-    if (op->delivered) {
-      apply_delivered(op->flow, op->seq, op->at, op->tunnel);
-    } else {
-      apply_dropped(op->flow, op->seq, op->at, op->reason, op->tunnel,
-                    op->at_final_dst);
-    }
-  }
-  stat_replay_.clear();
-  // 3) Dirty-wake concatenation in shard order — order-neutral, since
-  //    apply_wake_change is idempotent per node.
-  for (ShardCtx& ctx : shard_ctx_) {
-    if (!ctx.dirty.empty()) {
-      dirty_.insert(dirty_.end(), ctx.dirty.begin(), ctx.dirty.end());
-      ctx.dirty.clear();
-    }
-    ctx.stats.clear();
   }
 }
 
@@ -839,30 +777,23 @@ void Network::refresh_wake(std::size_t i, std::uint64_t from) {
   }
   next_wake_[i] = wake;
   if (wake == kNeverOccupied) return;
-  wake_heaps_[shard_of_node_[i]].push(wake, static_cast<std::uint16_t>(i));
+  wake_heap_.push(wake, static_cast<std::uint16_t>(i));
 }
 
 void Network::arm_engine() {
   if (in_slot_ || engine_yielded_) return;  // re-armed after the slot runs
-  // Arm at the minimum across the per-shard heaps (each pruned of stale
-  // tops first) — the same instant the single global heap would yield.
-  std::uint64_t target = kNeverOccupied;
-  for (WakeHeap& heap : wake_heaps_) {
-    while (!heap.empty()) {
-      const WakeHeap::Entry& top = heap.top();
-      if (next_wake_[top.node] != top.asn || alive_[top.node] == 0) {
-        heap.pop();  // stale
-        continue;
-      }
-      break;
-    }
-    if (!heap.empty()) target = std::min(target, heap.top().asn);
+  // Arm at the heap minimum, pruned of stale tops first.
+  while (!wake_heap_.empty()) {
+    const WakeHeap::Entry& top = wake_heap_.top();
+    if (next_wake_[top.node] == top.asn && alive_[top.node] != 0) break;
+    wake_heap_.pop();  // stale
   }
-  if (target == kNeverOccupied) {
+  if (wake_heap_.empty()) {
     engine_event_.cancel();
     armed_asn_ = kNeverOccupied;
     return;
   }
+  const std::uint64_t target = wake_heap_.top().asn;
   if (engine_event_.pending() && armed_asn_ == target) return;
   engine_event_.cancel();
   armed_asn_ = target;
@@ -890,22 +821,20 @@ void Network::engine_tick() {
   armed_asn_ = kNeverOccupied;
 
   participants_.clear();
-  // Drain every shard heap that is due, then sort + dedup the union: the
-  // slot-synchronous merge barrier. The merged set (and hence everything
-  // downstream) is independent of shard count and heap iteration order.
-  for (WakeHeap& heap : wake_heaps_) {
-    while (!heap.empty() && heap.top().asn <= asn) {
-      const WakeHeap::Entry entry = heap.pop();
-      if (entry.asn != asn) continue;                  // stale (past)
-      if (next_wake_[entry.node] != entry.asn) continue;  // stale (moved)
-      if (alive_[entry.node] == 0) continue;
-      participants_.push_back(entry.node);
+  // Pop every due entry. The heap orders (asn, node), so this slot's live
+  // entries come out in ascending node order, and a node pushed twice for
+  // the same slot pops twice in a row: the participants are sorted and
+  // duplicate-free without a sort.
+  while (!wake_heap_.empty() && wake_heap_.top().asn <= asn) {
+    const WakeHeap::Entry entry = wake_heap_.pop();
+    if (entry.asn != asn) continue;                     // stale (past)
+    if (next_wake_[entry.node] != entry.asn) continue;  // stale (moved)
+    if (alive_[entry.node] == 0) continue;
+    if (!participants_.empty() && participants_.back() == entry.node) {
+      continue;  // duplicate push
     }
+    participants_.push_back(entry.node);
   }
-  std::sort(participants_.begin(), participants_.end());
-  participants_.erase(
-      std::unique(participants_.begin(), participants_.end()),
-      participants_.end());
 
   // Full slot set: the TX-capable (heap-due) nodes, every node listening at
   // this ASN per the reverse listen index, and all scanners (they might
@@ -955,17 +884,10 @@ void Network::engine_tick() {
 
 void Network::on_node_wake_dirty(NodeId id) {
   if (!engine_active() || next_wake_.empty()) return;
-  if (ShardCtx* ctx = t_shard_ctx_) {
-    // Raised on a shard task: collect per shard, concatenated into dirty_
-    // at the drain. Concatenation order across shards differs from the
-    // serial push order, which is result-neutral: apply_wake_change is
-    // idempotent per node and its cross-node effects land in sorted sets
-    // (listen buckets, scanners) and a tie-broken heap.
-    ctx->dirty.push_back(id.value);
-    return;
-  }
   if (in_slot_) {
-    dirty_.push_back(id.value);
+    // Applied after the slot. Raised on a shard task, the push lands at
+    // the region's replay in serial order.
+    sim_.run_in_order([this, node = id.value] { dirty_.push_back(node); });
     return;
   }
   std::uint64_t from = asn_floor(sim_.now());

@@ -273,15 +273,6 @@ class Network {
   [[nodiscard]] const std::vector<std::uint64_t>& shard_busy_ns() const {
     return shard_busy_ns_;
   }
-  /// Shard owning node `i` (constant after construction).
-  [[nodiscard]] std::size_t shard_of(NodeId id) const {
-    return shard_of_node_[id.value];
-  }
-  /// The node's current best parent from the hot struct-of-arrays mirror
-  /// (kNoNode while unjoined or dead).
-  [[nodiscard]] NodeId best_parent_of(NodeId id) const {
-    return best_parent_[id.value];
-  }
 
   // --- schedule randomization / jamming observability ---
 
@@ -353,15 +344,6 @@ class Network {
 
   void slot_tick();  // polled driver
   void generate_flow_packet(std::size_t flow_index);
-
-  /// Serial-order stat application shared by the direct hook path and the
-  /// deferred-replay path: updates FlowStats and the replication counters
-  /// with identical first-wins semantics in both.
-  void apply_delivered(FlowId flow, std::uint32_t seq, SimTime at,
-                       std::uint8_t tunnel);
-  void apply_dropped(FlowId flow, std::uint32_t seq, SimTime at,
-                     DropReason reason, std::uint8_t tunnel,
-                     bool at_final_dst);
 
   /// Serial pre-resolution seam, run once per executed slot right after the
   /// on-air attempt list is gathered (both drivers, every shard count): feeds
@@ -456,8 +438,6 @@ class Network {
   // the on-air attempts, and the parallel resolver (which must not call
   // into TschMac).
   std::vector<double> clock_offset_us_;
-  // Current best parent per node, maintained by the on_parent_changed hook.
-  std::vector<NodeId> best_parent_;
 
   // --- spatial shards ---
   std::size_t num_shards_{1};
@@ -468,49 +448,16 @@ class Network {
   std::vector<std::uint16_t> shard_of_node_;
   std::unique_ptr<ShardPool> pool_;  // only when num_shards_ > 1
 
-  /// Per-shard side-buffers for hook effects raised inside a parallel
-  /// region. Simulator ops live in the matching defer_bufs_ entry; stat
-  /// records carry keys from the same per-site sequence so their replay
-  /// interleaves in serial order (FlowStatsCollector's first-wins dedup
-  /// must see the serial arrival order). Dirty-wake notices are merely
-  /// concatenated in shard order — order-neutral, since apply_wake_change
-  /// is idempotent per node.
-  struct StatOp {
-    std::uint64_t key;
-    FlowId flow;
-    std::uint32_t seq;
-    SimTime at;
-    DropReason reason;  // dropped ops only
-    bool delivered;
-    /// Tunnel copy tag of the payload (0 none, 1 primary, 2 backup) and
-    /// whether the event happened at the packet's final destination — the
-    /// replay needs both to count replication wins/losses in the exact
-    /// serial arrival order the first-wins dedup sees.
-    std::uint8_t tunnel{0};
-    bool at_final_dst{false};
-  };
-  struct ShardCtx {
-    Simulator::DeferBuffer* defer{nullptr};
-    std::vector<StatOp> stats;
-    std::vector<std::uint16_t> dirty;
-  };
-  /// The executing shard task's context; hooks divert their side effects
-  /// here when set. Null outside parallel regions — every hook then takes
-  /// its plain serial branch.
-  static thread_local ShardCtx* t_shard_ctx_;
-
   /// Runs fn(s) for each of `shards` work lists. At 1, a direct call on
-  /// the caller: no shard context, no defer buffer, no drain. Above 1, on
-  /// the pool (inline on the caller at 1 thread) with each shard's defer
-  /// buffer and context installed and its busy time accumulated into
-  /// shard_busy_ns_ (profiler on only), then drain_shard_ctxs().
+  /// the caller: no defer buffer, no replay. Above 1, on the pool (inline
+  /// on the caller at 1 thread) with shard s's defer buffer installed and
+  /// its busy time accumulated into shard_busy_ns_ (profiler on only),
+  /// then one sim_.replay_deferred() over the shards' buffers: every side
+  /// effect a region raises — event schedules and cancels, and the stat
+  /// records and dirty-wake notices hooks route through
+  /// Simulator::run_in_order — applies in the serial program order.
   template <typename Fn>
   void run_region(std::size_t shards, Fn&& fn);
-  /// Serial post-barrier merge: replays deferred simulator ops (sorted by
-  /// site key -> exact serial event order and seq values), then stat
-  /// records (same key space), then dirty-wake concatenation in shard
-  /// order.
-  void drain_shard_ctxs();
   /// Shard s's work list over a per-slot array of n items: its partition in
   /// `lists` when the region runs sharded, else the identity prefix [0, n)
   /// (never rebuilt per slot).
@@ -569,12 +516,11 @@ class Network {
   // Per-node next wakeup ASN (kNeverOccupied = none); heap entries that
   // disagree with this array are stale.
   std::vector<std::uint64_t> next_wake_;
-  // One wake-heap per shard (a node feeds its shard's heap). The engine
-  // arms on the minimum across heaps and drains every due heap at a slot,
-  // then sorts + dedups the union — the slot-synchronous merge that keeps
-  // cross-shard events (frames, EBs, ACKs crossing cell boundaries) in one
-  // deterministic order regardless of shard count.
-  std::vector<WakeHeap> wake_heaps_;
+  // Every node's wakeups, fed serially at every shard count. The engine
+  // arms at the minimum and pops a slot's due entries in (asn, node)
+  // order, so the participants come out ascending with any duplicate
+  // push adjacent.
+  WakeHeap wake_heap_;
   EventHandle engine_event_;
   std::uint64_t armed_asn_{kNeverOccupied};
   std::int64_t last_processed_asn_{-1};
@@ -671,10 +617,8 @@ class Network {
   // Per-node plan storage for Region A (kTx entries only; the gather after
   // the region moves them out in participant order).
   std::vector<SlotPlan> plans_;
-  // Per-shard deferred simulator ops and hook side-buffers.
+  // Per-shard deferred schedules, cancels and in-order calls.
   std::vector<Simulator::DeferBuffer> defer_bufs_;
-  std::vector<ShardCtx> shard_ctx_;
-  std::vector<StatOp*> stat_replay_;  // drain scratch
   // Cumulative per-shard busy ns across regions (profiler on only).
   std::vector<std::uint64_t> shard_busy_ns_;
   // Per-slot attempt buckets by grid cell, built once per busy slot and

@@ -108,7 +108,6 @@ void Node::set_alive(bool alive, SimTime now) {
     // is constitutive); force the tracker down so revival re-reports the
     // join transition like any other reboot.
     was_joined_ = false;
-    if (hooks_.on_parent_changed) hooks_.on_parent_changed(id_, kNoNode);
     return;
   }
   // Restart: a repowered device rejoins from scratch.
@@ -325,9 +324,6 @@ void Node::on_topology_changed(SimTime now) {
   // source mid-join would leave the clock uncorrectable.
   if (routing_->best_parent().valid()) {
     mac_.set_time_source(routing_->best_parent());
-  }
-  if (hooks_.on_parent_changed) {
-    hooks_.on_parent_changed(id_, routing_->best_parent());
   }
 
   const bool now_joined = routing_->joined();

@@ -102,11 +102,6 @@ class Node {
     /// rebuilt, traffic queued, sync state flipped). The Network's slot
     /// engine re-arms its wakeup heap from here.
     std::function<void(NodeId node)> on_wakeup_changed;
-    /// The node's best parent changed (topology update), or was cleared by
-    /// a power-down (parent = kNoNode). Keeps the Network's hot
-    /// struct-of-arrays parent mirror current without per-slot virtual
-    /// routing queries.
-    std::function<void(NodeId node, NodeId parent)> on_parent_changed;
     /// SlotSwapper schedule randomization: the network's current epoch
     /// permutation over application slot offsets, or nullptr for identity.
     /// When set, every schedule rebuild applies it as a post-pass (so

@@ -19,7 +19,6 @@ class WakeHeap {
   };
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const Entry& top() const { return entries_.front(); }
 
   void push(std::uint64_t asn, std::uint16_t node) {
@@ -33,8 +32,6 @@ class WakeHeap {
     entries_.pop_back();
     return entry;
   }
-
-  void clear() { entries_.clear(); }
 
  private:
   // std::push_heap builds a max-heap; invert the order for a min-heap. Ties

@@ -21,8 +21,11 @@ bool EventHandle::pending() const {
   if (Simulator::DeferBuffer* buf = t_defer; buf != nullptr) {
     // Events of a node live on that node's shard, so every not-yet-replayed
     // op touching this id is in *this* thread's buffer; the latest one wins.
+    // (Call ops carry id 0, which no handle holds.)
     for (auto it = buf->ops_.rbegin(); it != buf->ops_.rend(); ++it) {
-      if (it->id == id_) return !it->cancel;
+      if (it->id == id_) {
+        return it->kind != Simulator::DeferBuffer::Kind::kCancel;
+      }
     }
   }
   return sim_->live_.contains(id_);
@@ -31,8 +34,7 @@ bool EventHandle::pending() const {
 void EventHandle::cancel() {
   if (sim_ != nullptr) {
     if (Simulator::DeferBuffer* buf = t_defer; buf != nullptr) {
-      buf->ops_.push_back(Simulator::DeferBuffer::Op{
-          buf->next_key(), SimTime{}, id_, EventFn{}, /*cancel=*/true});
+      buf->record(Simulator::DeferBuffer::Kind::kCancel, SimTime{}, id_, {});
     } else {
       sim_->live_.erase(id_);
     }
@@ -45,8 +47,7 @@ EventHandle Simulator::schedule_at(SimTime at, EventFn fn) {
   if (at < now_) at = now_;
   const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   if (DeferBuffer* buf = t_defer; buf != nullptr) {
-    buf->ops_.push_back(DeferBuffer::Op{buf->next_key(), at, id,
-                                        std::move(fn), /*cancel=*/false});
+    buf->record(DeferBuffer::Kind::kSchedule, at, id, std::move(fn));
     return EventHandle{this, id};
   }
   heap_.push_back(Event{at, next_seq_++, id, std::move(fn)});
@@ -68,7 +69,9 @@ void Simulator::replay_deferred(DeferBuffer* bufs, std::size_t n) {
                      return a->key < b->key;
                    });
   for (DeferBuffer::Op* op : replay_scratch_) {
-    if (op->cancel) {
+    if (op->kind == DeferBuffer::Kind::kCall) {
+      op->fn();
+    } else if (op->kind == DeferBuffer::Kind::kCancel) {
       live_.erase(op->id);  // heap tombstone, exactly as a serial cancel
     } else {
       heap_.push_back(Event{op->at, next_seq_++, op->id, std::move(op->fn)});
@@ -78,6 +81,14 @@ void Simulator::replay_deferred(DeferBuffer* bufs, std::size_t n) {
   }
   replay_scratch_.clear();
   for (std::size_t s = 0; s < n; ++s) bufs[s].ops_.clear();
+}
+
+void Simulator::run_in_order(EventFn fn) {
+  if (DeferBuffer* buf = t_defer; buf != nullptr) {
+    buf->record(DeferBuffer::Kind::kCall, SimTime{}, 0, std::move(fn));
+    return;
+  }
+  fn();
 }
 
 void Simulator::sift_up(std::size_t i) {

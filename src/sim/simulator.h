@@ -47,25 +47,26 @@ class EventHandle {
 
 /// Single-threaded discrete-event simulator — with one concession to the
 /// parallel slot pipeline: a *defer window*. While a thread has a
-/// DeferBuffer installed (Simulator::set_defer_buffer), schedule_at() and
-/// EventHandle::cancel() do not touch the heap or the live-id set; they
-/// record the operation in the buffer under a caller-supplied ordering key
-/// and the caller replays all buffers after the fork-join barrier, in
-/// ascending key order — reproducing the exact event sequence (and seq
-/// numbers) the serial execution would have produced. pending() answers
-/// from the thread's own buffer first (an id belongs to exactly one node,
-/// and a node to exactly one shard, so the local view is complete), then
-/// from the live set, which is read-only during a window because cancels
-/// are deferred too. Event *ids* are allocated from an atomic counter, so
-/// their values may differ between thread counts — harmless: ordering uses
-/// only (at, seq), and the id set is never iterated.
+/// DeferBuffer installed (Simulator::set_defer_buffer), schedule_at(),
+/// EventHandle::cancel() and run_in_order() do not touch the heap, the
+/// live-id set or any caller state; they record the operation in the
+/// buffer under a caller-supplied ordering key, and the caller replays all
+/// buffers after the fork-join barrier, in ascending key order —
+/// reproducing the exact effect sequence (and seq numbers) the serial
+/// execution would have produced. pending() answers from the thread's own
+/// buffer first (an id belongs to exactly one node, and a node to exactly
+/// one shard, so the local view is complete), then from the live set,
+/// which is read-only during a window because cancels are deferred too.
+/// Event *ids* are allocated from an atomic counter, so their values may
+/// differ between thread counts — harmless: ordering uses only (at, seq),
+/// and the id set is never iterated.
 class Simulator {
  public:
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Per-shard buffer of deferred schedule/cancel operations recorded
+  /// Per-shard buffer of the schedule, cancel and call operations recorded
   /// during one parallel region. Keys are (site << 16 | sub): the caller
   /// sets the site — the op's global serial-order rank (reception index,
   /// transmitter index, participant rank...) — before invoking node code,
@@ -79,23 +80,23 @@ class Simulator {
       site_ = site;
       sub_ = 0;
     }
-    /// Consumes the next key of the current site. Callers with their own
-    /// deferred side-buffers (e.g. stat records) draw keys from the same
-    /// sequence so their replay interleaves in serial order too.
-    [[nodiscard]] std::uint64_t next_key() { return (site_ << 16) | sub_++; }
-    [[nodiscard]] bool empty() const { return ops_.empty(); }
-    void clear() { ops_.clear(); }
 
    private:
     friend class Simulator;
     friend class EventHandle;
+    enum class Kind : std::uint8_t { kSchedule, kCancel, kCall };
     struct Op {
       std::uint64_t key;
-      SimTime at;       // schedule ops only
-      std::uint64_t id;
-      EventFn fn;       // empty for cancels
-      bool cancel{false};
+      Kind kind;
+      SimTime at;        // schedule ops only
+      std::uint64_t id;  // schedule and cancel ops; 0 (no handle) for calls
+      EventFn fn;        // schedule and call ops
     };
+
+    /// Records an op under the current site's next key.
+    void record(Kind kind, SimTime at, std::uint64_t id, EventFn fn) {
+      ops_.push_back(Op{(site_ << 16) | sub_++, kind, at, id, std::move(fn)});
+    }
 
     std::vector<Op> ops_;
     std::uint64_t site_{0};
@@ -111,9 +112,18 @@ class Simulator {
   /// Applies every deferred op from `bufs[0..n)` in ascending key order:
   /// schedules enter the heap with freshly assigned seq numbers (the same
   /// values the serial execution would have assigned — no other schedule
-  /// can interleave) and cancels erase from the live set (leaving the heap
-  /// tombstone a serial cancel would leave). Clears the buffers.
+  /// can interleave, and calls take no seq), cancels erase from the live
+  /// set (leaving the heap tombstone a serial cancel would leave), and
+  /// calls run, seeing exactly the ops keyed before them applied. Clears
+  /// the buffers.
   void replay_deferred(DeferBuffer* bufs, std::size_t n);
+
+  /// Runs `fn` in serial program order: at once outside a defer window,
+  /// else recorded under the window's next key for replay_deferred. Hooks
+  /// that update serial state (flow statistics, the engine's dirty-wake
+  /// list) go through here. A deferred `fn` runs after its whole region,
+  /// so it captures the values it needs rather than reading node state.
+  void run_in_order(EventFn fn);
 
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }

@@ -1,9 +1,14 @@
-// Unit tests for the discrete-event simulation kernel.
+// Unit tests for the discrete-event simulation kernel, its defer window,
+// and the slot engine's wake heap.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/wake_heap.h"
 #include "sim/simulator.h"
 
 namespace digs {
@@ -277,6 +282,152 @@ TEST(PeriodicTimerTest, DestructorCancels) {
   }
   sim.run_until(SimTime{100});
   EXPECT_EQ(fires, 0);
+}
+
+// --- defer window ---
+
+TEST(DeferWindowTest, RunInOrderOutsideAWindowRunsAtOnce) {
+  Simulator sim;
+  int calls = 0;
+  sim.run_in_order([&] { ++calls; });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+/// Six program sites mixing schedules, a cancel and in-order calls. Each
+/// call snapshots what the simulator shows at that point: the live event
+/// count and which of the five events are pending. The snapshot reads
+/// copies of the handles (the events' identities): the handles the sites
+/// own are program state, updated when an op is recorded, not replayed.
+class SiteProgram {
+ public:
+  void site(int k) {
+    switch (k) {
+      case 0:
+        schedule(0, SimTime{100});
+        break;
+      case 1:
+        in_window_ += schedule(1, SimTime{100}).pending() ? 'B' : 'b';
+        schedule(2, SimTime{50});
+        break;
+      case 2:
+        call(k);
+        break;
+      case 3:
+        owned_[2].cancel();
+        in_window_ += owned_[2].pending() ? 'C' : 'c';
+        call(k);
+        break;
+      case 4:
+        schedule(3, SimTime{100});
+        call(k);
+        break;
+      case 5:
+        call(k);  // keyed before e's schedule: must not see it
+        schedule(4, SimTime{100});
+        break;
+      default:
+        break;
+    }
+  }
+
+  Simulator& sim() { return sim_; }
+  [[nodiscard]] const std::vector<std::string>& calls() const {
+    return calls_;
+  }
+  [[nodiscard]] const std::string& fired() const { return fired_; }
+  [[nodiscard]] const std::string& in_window() const { return in_window_; }
+
+ private:
+  // Event i fires as the letter 'a' + i.
+  EventHandle& schedule(int i, SimTime at) {
+    owned_[i] = sim_.schedule_at(
+        at, [this, i] { fired_ += static_cast<char>('a' + i); });
+    events_[i] = owned_[i];
+    return owned_[i];
+  }
+  void call(int k) {
+    sim_.run_in_order([this, k] {
+      std::string seen = std::to_string(k) + ":" +
+                         std::to_string(sim_.pending_events()) + ":";
+      for (const EventHandle& event : events_) {
+        seen += event.pending() ? '1' : '0';
+      }
+      calls_.push_back(seen);
+    });
+  }
+
+  Simulator sim_;
+  EventHandle owned_[5];
+  EventHandle events_[5];
+  std::vector<std::string> calls_;
+  std::string fired_;
+  std::string in_window_;
+};
+
+TEST(DeferWindowTest, ReplayRunsCallsAmongScheduleAndCancelInKeyOrder) {
+  SiteProgram serial;
+  for (int k = 0; k < 6; ++k) serial.site(k);
+  EXPECT_EQ(serial.calls(),
+            (std::vector<std::string>{"2:3:11100", "3:2:11000", "4:3:11010",
+                                      "5:3:11010"}));
+
+  // Even sites record on one buffer, odd sites on the other (as two shard
+  // tasks would), then one replay merges them by key.
+  SiteProgram deferred;
+  Simulator::DeferBuffer bufs[2];
+  for (int shard = 0; shard < 2; ++shard) {
+    Simulator::set_defer_buffer(&bufs[shard]);
+    for (int k = shard; k < 6; k += 2) {
+      bufs[shard].set_site(static_cast<std::uint64_t>(k));
+      deferred.site(k);
+    }
+    Simulator::set_defer_buffer(nullptr);
+  }
+  EXPECT_TRUE(deferred.calls().empty()) << "a call ran inside the window";
+  EXPECT_EQ(deferred.sim().pending_events(), 0u);
+  deferred.sim().replay_deferred(bufs, 2);
+
+  // Every call saw exactly the ops keyed before it; pending() agreed inside
+  // the window (own buffer) and after the replay (live set).
+  EXPECT_EQ(deferred.calls(), serial.calls());
+  EXPECT_EQ(deferred.in_window(), serial.in_window());
+  EXPECT_EQ(deferred.in_window(), "Bc");
+  EXPECT_EQ(deferred.sim().pending_events(), serial.sim().pending_events());
+
+  // Same-instant events fire in serial seq order (a, b, d, e; the buffer
+  // order would be a, d, b, e), and the cancelled c never fires.
+  serial.sim().run();
+  deferred.sim().run();
+  EXPECT_EQ(serial.fired(), "abde");
+  EXPECT_EQ(deferred.fired(), serial.fired());
+
+  // The replay emptied both buffers: a second replay is a no-op.
+  deferred.sim().replay_deferred(bufs, 2);
+  EXPECT_EQ(deferred.sim().pending_events(), 0u);
+  EXPECT_EQ(deferred.calls().size(), serial.calls().size());
+}
+
+// --- wake heap ---
+
+TEST(WakeHeapTest, PopsByAsnThenNodeWithDuplicatesAdjacent) {
+  WakeHeap heap;
+  const std::vector<std::pair<std::uint64_t, std::uint16_t>> pushes = {
+      {7, 5}, {3, 9}, {7, 2}, {9, 1}, {7, 5}, {7, 0}, {3, 4}};
+  for (const auto& [asn, node] : pushes) heap.push(asn, node);
+  std::vector<std::pair<std::uint64_t, std::uint16_t>> popped;
+  while (!heap.empty()) {
+    const WakeHeap::Entry top = heap.top();
+    const WakeHeap::Entry entry = heap.pop();
+    EXPECT_EQ(top.asn, entry.asn);
+    EXPECT_EQ(top.node, entry.node);
+    popped.emplace_back(entry.asn, entry.node);
+  }
+  // Same-asn entries pop in ascending node order; the duplicate (7, 5)
+  // pops twice in a row.
+  EXPECT_EQ(popped,
+            (std::vector<std::pair<std::uint64_t, std::uint16_t>>{
+                {3, 4}, {3, 9}, {7, 0}, {7, 2}, {7, 5}, {7, 5}, {9, 1}}));
 }
 
 }  // namespace

@@ -204,6 +204,31 @@ ExperimentConfig downlink_sharded_config() {
   return config;
 }
 
+/// The Orchestra suite through crashes and revivals: a relay crash cycle,
+/// an access-point crash and recovery, a link blackout, 40 ppm drift, a
+/// reactive jammer and SlotSwapper epochs, monitor off so the RPL
+/// baseline's power-down, restart and failover run inside sharded node
+/// regions.
+ExperimentConfig orchestra_churn_config() {
+  ExperimentConfig config = small_config(ProtocolSuite::kOrchestra, 11);
+  config.warmup = seconds(std::int64_t{90});
+  config.duration = seconds(std::int64_t{120});
+  config.faults.crash_cycle(seconds(std::int64_t{20}), NodeId{10},
+                            seconds(std::int64_t{20}),
+                            seconds(std::int64_t{30}), 2);
+  config.faults.blackout(seconds(std::int64_t{30}), NodeId{2}, NodeId{7},
+                         seconds(std::int64_t{25}));
+  config.faults.crash(seconds(std::int64_t{40}), NodeId{0});
+  config.faults.recover(seconds(std::int64_t{70}), NodeId{0});
+  config.clock_ppm = 40.0;
+  config.num_reactive_jammers = 1;
+  config.jammer_start_after = seconds(std::int64_t{0});
+  config.randomize_schedule = true;
+  config.randomize_epoch = seconds(std::int64_t{15});
+  config.monitor_invariants = false;
+  return config;
+}
+
 struct GoldenCase {
   std::string name;
   TestbedLayout layout;
@@ -231,6 +256,8 @@ std::vector<GoldenCase> golden_cases() {
       {"city", city, city_config(), 0xBA5A3AAC881A0EFEULL},
       {"downlink_sharded", half, downlink_sharded_config(),
        0x763EF1765770AA1DULL},
+      {"orchestra_churn", half, orchestra_churn_config(),
+       0x87DC8AA1C3D63E4FULL},
   };
 }
 
@@ -286,6 +313,20 @@ TEST(GoldenDigestCoverage, DownlinkShardedRunCountsReplication) {
   EXPECT_GT(result.replication_wins, 0u);
   EXPECT_GT(result.replication_losses, 0u);
   EXPECT_GT(result.duplicates_suppressed, 0u);
+}
+
+// The orchestra_churn digest pins the RPL crash/recover path only if every
+// revival happens, with the node regions sharded.
+TEST(GoldenDigestCoverage, OrchestraChurnRunRevivesNodesSharded) {
+  ExperimentConfig config = orchestra_churn_config();
+  config.shards = 4;
+  config.shard_threads = 2;
+  ExperimentRunner runner(half_testbed_a(), config);
+  const ExperimentResult result = runner.run();
+  EXPECT_EQ(runner.network().num_shards(), 4u);
+  EXPECT_EQ(runner.network().invariant_monitor(), nullptr);
+  EXPECT_EQ(result.revivals, 3u);
+  EXPECT_GT(result.delivered, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, GoldenDigest,

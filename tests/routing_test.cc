@@ -215,6 +215,172 @@ RplRouting make_rpl(ProtoHarness& h, NodeId id, bool is_ap = false,
   return RplRouting(h.sim, id, is_ap, h.table, config, Rng(7), h.env());
 }
 
+// --- behaviour both distance-vector protocols share ---
+
+template <typename Protocol>
+struct ProtocolConfig;
+template <>
+struct ProtocolConfig<DigsRouting> {
+  using type = DigsRoutingConfig;
+};
+template <>
+struct ProtocolConfig<RplRouting> {
+  using type = RplRoutingConfig;
+};
+
+template <typename Protocol>
+class SharedRoutingTest : public ::testing::Test {
+ protected:
+  using Config = typename ProtocolConfig<Protocol>::type;
+
+  Protocol make(NodeId id, bool is_ap = false, Config config = {}) {
+    return Protocol(h.sim, id, is_ap, h.table, config, Rng(7), h.env());
+  }
+
+  [[nodiscard]] int sent_of(FrameType type) const {
+    int n = 0;
+    for (const Frame& f : h.sent) {
+      if (f.type == type) ++n;
+    }
+    return n;
+  }
+
+  ProtoHarness h;
+};
+
+using Protocols = ::testing::Types<DigsRouting, RplRouting>;
+TYPED_TEST_SUITE(SharedRoutingTest, Protocols);
+
+TYPED_TEST(SharedRoutingTest, CallbackRegistersChild) {
+  TypeParam ap = this->make(NodeId{0}, /*is_ap=*/true);
+  ap.start(this->h.sim.now());
+  this->h.hear_callback(ap, NodeId{0}, NodeId{5}, true);
+  ASSERT_EQ(ap.children().size(), 1u);
+  EXPECT_EQ(ap.children()[0].id, NodeId{5});
+  EXPECT_TRUE(ap.children()[0].as_best);
+  // A repeated callback refreshes the entry, it does not duplicate it.
+  this->h.hear_callback(ap, NodeId{0}, NodeId{5}, true);
+  EXPECT_EQ(ap.children().size(), 1u);
+}
+
+TYPED_TEST(SharedRoutingTest, ChildrenPrunedAfterTimeout) {
+  typename TestFixture::Config config;
+  config.child_timeout = seconds(static_cast<std::int64_t>(60));
+  TypeParam ap = this->make(NodeId{0}, /*is_ap=*/true, config);
+  ap.start(this->h.sim.now());
+  this->h.hear_callback(ap, NodeId{0}, NodeId{5}, true);
+  EXPECT_EQ(ap.children().size(), 1u);
+  this->h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(120)));
+  EXPECT_EQ(ap.children().size(), 0u);
+}
+
+TYPED_TEST(SharedRoutingTest, StopForgetsParents) {
+  TypeParam node = this->make(NodeId{5});
+  node.start(this->h.sim.now());
+  this->h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
+  node.stop(this->h.sim.now());
+  EXPECT_FALSE(node.joined());
+  EXPECT_EQ(node.best_parent(), kNoNode);
+  EXPECT_EQ(node.rank(), NeighborInfo::kInfiniteRank);
+}
+
+TYPED_TEST(SharedRoutingTest, PowerDownClearsChildren) {
+  // stop() is a desync: the child table survives so downstream nodes are
+  // not orphaned. power_down() is a crash: it dies with the node.
+  TypeParam node = this->make(NodeId{5});
+  node.start(this->h.sim.now());
+  this->h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
+  this->h.hear_callback(node, NodeId{5}, NodeId{9}, true);
+  ASSERT_EQ(node.children().size(), 1u);
+  node.stop(this->h.sim.now());
+  EXPECT_EQ(node.children().size(), 1u);
+  node.start(this->h.sim.now());
+  node.power_down(this->h.sim.now());
+  EXPECT_TRUE(node.children().empty());
+  EXPECT_FALSE(node.joined());
+}
+
+TYPED_TEST(SharedRoutingTest, JoinInTransmittedByTrickleAfterJoining) {
+  typename TestFixture::Config config;
+  config.trickle.imin = milliseconds(100);
+  TypeParam node = this->make(NodeId{5}, false, config);
+  node.start(this->h.sim.now());
+  this->h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
+  this->h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(1)));
+  EXPECT_GE(this->sent_of(FrameType::kJoinIn), 1);
+}
+
+TYPED_TEST(SharedRoutingTest, UnjoinedNodeSolicitsJoinIns) {
+  // RPL DIS analogue: a started (synchronized) but parentless node
+  // periodically broadcasts a join solicitation.
+  TypeParam node = this->make(NodeId{5});
+  node.start(this->h.sim.now());
+  this->h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(30)));
+  EXPECT_GE(this->sent_of(FrameType::kJoinSolicit), 2);
+}
+
+TYPED_TEST(SharedRoutingTest, JoinedNodeStopsSoliciting) {
+  TypeParam node = this->make(NodeId{5});
+  node.start(this->h.sim.now());
+  this->h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
+  const auto before = this->h.sent.size();
+  this->h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(30)));
+  for (std::size_t i = before; i < this->h.sent.size(); ++i) {
+    EXPECT_NE(this->h.sent[i].type, FrameType::kJoinSolicit);
+  }
+}
+
+TYPED_TEST(SharedRoutingTest, SolicitResetsTrickleOfJoinedNeighbor) {
+  typename TestFixture::Config config;
+  config.trickle.imin = milliseconds(200);
+  config.trickle.doublings = 6;
+  TypeParam ap = this->make(NodeId{0}, /*is_ap=*/true, config);
+  ap.start(this->h.sim.now());
+  this->h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(60)));
+  ASSERT_GT(ap.trickle().current_interval().us, milliseconds(200).us);
+  ap.handle_frame(make_frame(FrameType::kJoinSolicit, NodeId{9}, kNoNode,
+                             JoinSolicitPayload{}),
+                  -70.0, this->h.sim.now());
+  EXPECT_EQ(ap.trickle().current_interval().us, milliseconds(200).us);
+}
+
+TYPED_TEST(SharedRoutingTest, KeepaliveProbesIdleParentLink) {
+  // A joined node whose parent confirmed it, but with no unicast feedback
+  // since, re-sends its joined-callback periodically (TSCH keepalive
+  // semantics).
+  TypeParam node = this->make(NodeId{5});
+  node.start(this->h.sim.now());
+  this->h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
+  node.on_tx_result(NodeId{0}, FrameType::kJoinedCallback, true,
+                    this->h.sim.now());
+  ASSERT_EQ(node.best_parent_confirmed(), ConfirmedRole::kPrimary);
+  const int initial = this->h.callbacks_to(NodeId{0}, true);
+  this->h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(120)));
+  EXPECT_GT(this->h.callbacks_to(NodeId{0}, true), initial);
+}
+
+TYPED_TEST(SharedRoutingTest, CallbackAckConfirmsRole) {
+  TypeParam node = this->make(NodeId{5});
+  node.start(this->h.sim.now());
+  this->h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
+  EXPECT_EQ(node.best_parent_confirmed(), ConfirmedRole::kNone);
+  node.on_tx_result(NodeId{0}, FrameType::kJoinedCallback, true,
+                    this->h.sim.now());
+  EXPECT_EQ(node.best_parent_confirmed(), ConfirmedRole::kPrimary);
+}
+
+TYPED_TEST(SharedRoutingTest, ChildNeverBecomesParent) {
+  // Local loop protection: a node that registered us as its parent cannot
+  // become our parent, however good its advertisement looks.
+  TypeParam node = this->make(NodeId{5});
+  node.start(this->h.sim.now());
+  this->h.hear_join_in(node, NodeId{2}, 2, 3.0, -60.0);  // mediocre parent
+  this->h.hear_callback(node, NodeId{5}, NodeId{9}, true);  // our child
+  this->h.hear_join_in(node, NodeId{9}, 1, 0.0, -60.0);  // looks great
+  EXPECT_EQ(node.best_parent(), NodeId{2});
+  EXPECT_NE(node.second_best_parent(), NodeId{9});
+}
+
 // --- DiGS Algorithm 1 ---
 
 TEST(DigsRoutingTest, AccessPointInitialState) {
@@ -369,6 +535,19 @@ TEST(DigsRoutingTest, TotalFailureDetaches) {
   EXPECT_TRUE(poisoned);
 }
 
+TEST(DigsRoutingTest, CallbackRoleChangeUpdatesChild) {
+  ProtoHarness h;
+  DigsRouting ap = make_digs(h, NodeId{0}, /*is_ap=*/true);
+  ap.start(h.sim.now());
+  h.hear_callback(ap, NodeId{0}, NodeId{5}, true);
+  const int changes = h.topology_changes;
+  // A role change updates the entry in place and reports the change.
+  h.hear_callback(ap, NodeId{0}, NodeId{5}, false);
+  ASSERT_EQ(ap.children().size(), 1u);
+  EXPECT_FALSE(ap.children()[0].as_best);
+  EXPECT_GT(h.topology_changes, changes);
+}
+
 TEST(DigsRoutingTest, PoisonFromParentTriggersFailover) {
   ProtoHarness h;
   DigsRouting node = make_digs(h, NodeId{5});
@@ -378,151 +557,6 @@ TEST(DigsRoutingTest, PoisonFromParentTriggersFailover) {
   h.hear_join_in(node, NodeId{0}, NeighborInfo::kInfiniteRank,
                  NeighborInfo::kInfiniteEtx, -60.0);
   EXPECT_EQ(node.best_parent(), NodeId{1});
-}
-
-TEST(DigsRoutingTest, CallbackRegistersChild) {
-  ProtoHarness h;
-  DigsRouting ap = make_digs(h, NodeId{0}, /*is_ap=*/true);
-  ap.start(h.sim.now());
-  h.hear_callback(ap, NodeId{0}, NodeId{5}, true);
-  ASSERT_EQ(ap.children().size(), 1u);
-  EXPECT_EQ(ap.children()[0].id, NodeId{5});
-  EXPECT_TRUE(ap.children()[0].as_best);
-  // Role change updates, does not duplicate.
-  h.hear_callback(ap, NodeId{0}, NodeId{5}, false);
-  ASSERT_EQ(ap.children().size(), 1u);
-  EXPECT_FALSE(ap.children()[0].as_best);
-}
-
-TEST(DigsRoutingTest, ChildrenPrunedAfterTimeout) {
-  ProtoHarness h;
-  DigsRoutingConfig config;
-  config.child_timeout = seconds(static_cast<std::int64_t>(60));
-  DigsRouting ap = make_digs(h, NodeId{0}, /*is_ap=*/true, config);
-  ap.start(h.sim.now());
-  h.hear_callback(ap, NodeId{0}, NodeId{5}, true);
-  EXPECT_EQ(ap.children().size(), 1u);
-  h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(120)));
-  EXPECT_EQ(ap.children().size(), 0u);
-}
-
-TEST(DigsRoutingTest, StopForgetsParents) {
-  ProtoHarness h;
-  DigsRouting node = make_digs(h, NodeId{5});
-  node.start(h.sim.now());
-  h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
-  node.stop(h.sim.now());
-  EXPECT_FALSE(node.joined());
-  EXPECT_EQ(node.rank(), NeighborInfo::kInfiniteRank);
-}
-
-TEST(DigsRoutingTest, JoinInTransmittedByTrickleAfterJoining) {
-  ProtoHarness h;
-  DigsRoutingConfig config;
-  config.trickle.imin = milliseconds(100);
-  DigsRouting node = make_digs(h, NodeId{5}, false, config);
-  node.start(h.sim.now());
-  h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
-  h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(1)));
-  int join_ins = 0;
-  for (const Frame& f : h.sent) {
-    if (f.type == FrameType::kJoinIn) ++join_ins;
-  }
-  EXPECT_GE(join_ins, 1);
-}
-
-TEST(DigsRoutingTest, UnjoinedNodeSolicitsJoinIns) {
-  // RPL DIS analogue: a started (synchronized) but parentless node
-  // periodically broadcasts a join solicitation.
-  ProtoHarness h;
-  DigsRouting node = make_digs(h, NodeId{5});
-  node.start(h.sim.now());
-  h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(30)));
-  int solicits = 0;
-  for (const Frame& f : h.sent) {
-    if (f.type == FrameType::kJoinSolicit) ++solicits;
-  }
-  EXPECT_GE(solicits, 2);
-}
-
-TEST(DigsRoutingTest, JoinedNodeStopsSoliciting) {
-  ProtoHarness h;
-  DigsRouting node = make_digs(h, NodeId{5});
-  node.start(h.sim.now());
-  h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
-  const auto before = h.sent.size();
-  h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(30)));
-  for (std::size_t i = before; i < h.sent.size(); ++i) {
-    EXPECT_NE(h.sent[i].type, FrameType::kJoinSolicit);
-  }
-}
-
-TEST(DigsRoutingTest, SolicitResetsTrickleOfJoinedNeighbor) {
-  ProtoHarness h;
-  DigsRoutingConfig config;
-  config.trickle.imin = milliseconds(200);
-  config.trickle.doublings = 6;
-  DigsRouting ap = make_digs(h, NodeId{0}, /*is_ap=*/true, config);
-  ap.start(h.sim.now());
-  h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(60)));
-  ASSERT_GT(ap.trickle().current_interval().us, milliseconds(200).us);
-  ap.handle_frame(make_frame(FrameType::kJoinSolicit, NodeId{9}, kNoNode,
-                             JoinSolicitPayload{}),
-                  -70.0, h.sim.now());
-  EXPECT_EQ(ap.trickle().current_interval().us, milliseconds(200).us);
-}
-
-TEST(DigsRoutingTest, KeepaliveProbesIdleParentLink) {
-  // A joined node with no unicast feedback re-sends its joined-callback
-  // periodically (TSCH keepalive semantics).
-  ProtoHarness h;
-  DigsRouting node = make_digs(h, NodeId{5});
-  node.start(h.sim.now());
-  h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
-  const auto count_callbacks = [&] {
-    int n = 0;
-    for (const Frame& f : h.sent) {
-      if (f.type == FrameType::kJoinedCallback && f.dst == NodeId{0}) ++n;
-    }
-    return n;
-  };
-  const int initial = count_callbacks();
-  h.sim.run_until(SimTime{0} + seconds(static_cast<std::int64_t>(120)));
-  EXPECT_GT(count_callbacks(), initial);
-}
-
-TEST(DigsRoutingTest, CallbackAckConfirmsRole) {
-  ProtoHarness h;
-  DigsRouting node = make_digs(h, NodeId{5});
-  node.start(h.sim.now());
-  h.hear_join_in(node, NodeId{0}, 1, 0.0, -60.0);
-  EXPECT_EQ(node.best_parent_confirmed(), ConfirmedRole::kNone);
-  node.on_tx_result(NodeId{0}, FrameType::kJoinedCallback, true,
-                    h.sim.now());
-  EXPECT_EQ(node.best_parent_confirmed(), ConfirmedRole::kPrimary);
-}
-
-TEST(DigsRoutingTest, ChildNeverBecomesParent) {
-  // Local loop protection: a node that registered us as its parent cannot
-  // become our parent, however good its advertisement looks.
-  ProtoHarness h;
-  DigsRouting node = make_digs(h, NodeId{5});
-  node.start(h.sim.now());
-  h.hear_join_in(node, NodeId{2}, 2, 3.0, -60.0);  // mediocre parent
-  h.hear_callback(node, NodeId{5}, NodeId{9}, true);  // 9 is our child
-  h.hear_join_in(node, NodeId{9}, 1, 0.0, -60.0);  // child looks great
-  EXPECT_EQ(node.best_parent(), NodeId{2});
-  EXPECT_NE(node.second_best_parent(), NodeId{9});
-}
-
-TEST(RplRoutingTest, ChildNeverBecomesParent) {
-  ProtoHarness h;
-  RplRouting node = make_rpl(h, NodeId{5});
-  node.start(h.sim.now());
-  h.hear_join_in(node, NodeId{2}, 2, 3.0, -60.0);
-  h.hear_callback(node, NodeId{5}, NodeId{9}, true);
-  h.hear_join_in(node, NodeId{9}, 1, 0.0, -60.0);
-  EXPECT_EQ(node.best_parent(), NodeId{2});
 }
 
 // --- RPL baseline ---

@@ -141,10 +141,7 @@ void NetworkInvariantMonitor::collect_staleness(
   // refreshed); timeout semantics do not apply.
   if (suite == ProtocolSuite::kWirelessHart) return;
 
-  const NodeConfig& cfg = net_.config().node;
-  const SimDuration child_timeout = suite == ProtocolSuite::kDigs
-                                        ? cfg.digs_routing.child_timeout
-                                        : cfg.rpl_routing.child_timeout;
+  const SimDuration child_timeout = net_.config().node.routing.child_timeout;
   for (const ChildEntry& child : node.routing().children()) {
     if (now - child.last_refresh > child_timeout + kPruneGrace) {
       immediate.push_back(key(InvariantKind::kStaleChild, id, child.id));

@@ -10,40 +10,23 @@
 //
 // Join-in messages are paced by Trickle; joined-callback messages inform a
 // selected parent of its new child and role so it can install the matching
-// RX cells.
+// RX cells. Both, with the child table and failure detection, live in the
+// DistanceVectorRouting core the RPL baseline shares.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.h"
-#include "routing/routing.h"
-#include "routing/trickle.h"
-#include "sim/simulator.h"
+#include "routing/distance_vector.h"
 
 namespace digs {
 
-struct DigsRoutingConfig {
-  TrickleConfig trickle;
-  /// Accumulated-ETX improvement required before switching best parent
-  /// (standard distance-vector hysteresis; prevents parent flapping).
-  double parent_switch_hysteresis = 0.5;
-  /// A parent is declared dead on a long run of consecutive unicast
-  /// failures, or when its EWMA link ETX degrades past a threshold —
-  /// evidence-weighted, so a partially jammed link (channel hopping still
-  /// succeeds on clean channels) does not trigger spurious churn.
-  int parent_fail_noacks = 10;
-  double parent_fail_etx = 8.0;
+struct DigsRoutingConfig : DistanceVectorConfig {
   /// Surrogate extra cost used for ETXw while no second-best parent exists
   /// (ETXasbp := ETXabp + penalty), so single-parented nodes advertise a
   /// worse cost than fully backed-up ones.
   double missing_backup_penalty = 1.0;
-  /// Children not heard from for this long are pruned.
-  SimDuration child_timeout = seconds(static_cast<std::int64_t>(180));
-  /// Advertised rank/cost changes below these thresholds count as
-  /// consistent for Trickle.
-  double cost_epsilon = 0.25;
   /// Ablation switch: when false, advertise the plain accumulated ETX via
   /// the best parent instead of the paper's weighted ETX (Eq. 1-3).
   bool use_weighted_etx = true;
@@ -55,7 +38,7 @@ struct DigsRoutingConfig {
   SimDuration descendant_timeout = seconds(static_cast<std::int64_t>(90));
 };
 
-class DigsRouting final : public RoutingProtocol {
+class DigsRouting final : public DistanceVectorRouting {
  public:
   DigsRouting(Simulator& sim, NodeId id, bool is_access_point,
               NeighborTable& neighbors, const DigsRoutingConfig& config,
@@ -65,31 +48,9 @@ class DigsRouting final : public RoutingProtocol {
   void stop(SimTime now) override;
   void power_down(SimTime now) override;
   void handle_frame(const Frame& frame, double rss_dbm, SimTime now) override;
-  void on_tx_result(NodeId peer, FrameType type, bool acked,
-                    SimTime now) override;
-  void touch_child(NodeId from, SimTime now) override;
 
-  [[nodiscard]] NodeId best_parent() const override { return best_parent_; }
-  [[nodiscard]] NodeId second_best_parent() const override {
-    return second_best_parent_;
-  }
-  [[nodiscard]] ConfirmedRole best_parent_confirmed() const override {
-    return bp_confirmed_;
-  }
-  [[nodiscard]] ConfirmedRole second_best_parent_confirmed() const override {
-    return sbp_confirmed_;
-  }
   [[nodiscard]] NodeId next_hop_down(NodeId dest) const override;
   [[nodiscard]] std::int64_t downlink_freshness(NodeId dest) const override;
-  [[nodiscard]] std::uint16_t rank() const override { return rank_; }
-  [[nodiscard]] double advertised_cost() const override { return etxw_; }
-  [[nodiscard]] std::span<const ChildEntry> children() const override {
-    return children_;
-  }
-  [[nodiscard]] bool joined() const override {
-    return is_access_point_ ? rank_ == kAccessPointRank
-                            : best_parent_.valid();
-  }
 
   /// True when both preferred parents are set (the DiGS join criterion used
   /// for Fig. 13).
@@ -97,12 +58,6 @@ class DigsRouting final : public RoutingProtocol {
     return is_access_point_ ||
            (best_parent_.valid() && second_best_parent_.valid());
   }
-
-  // Diagnostics for tests and ablations.
-  [[nodiscard]] std::uint64_t parent_switches() const {
-    return parent_switches_;
-  }
-  [[nodiscard]] const Trickle& trickle() const { return trickle_; }
 
   /// Read-only view of one downlink-table entry, for the invariant monitor
   /// and tests (the table itself stays private).
@@ -119,49 +74,36 @@ class DigsRouting final : public RoutingProtocol {
     }
     return out;
   }
-  [[nodiscard]] const DigsRoutingConfig& config() const { return config_; }
+  [[nodiscard]] const DigsRoutingConfig& config() const {
+    return digs_config_;
+  }
 
  private:
   /// Runs the Algorithm 1 update for a join-in received from `from`.
-  void process_join_in(NodeId from, const JoinInPayload& payload, SimTime now);
-  void process_callback(NodeId from, const JoinedCallbackPayload& payload,
-                        SimTime now);
-  void handle_parent_failure(NodeId failed, SimTime now);
+  void process_join_in(NodeId from, SimTime now) override;
+  /// Promotes the backup parent when the best parent fails, refills the
+  /// backup when it fails.
+  void handle_parent_failure(NodeId failed, SimTime now) override;
+  /// ETXw (Eq. 1-3) through both parents. Drops a second-best parent the
+  /// new rank makes illegal first (the rank rule).
+  double path_cost(const NeighborInfo& best) override;
+  /// Role retries (reconfirm_roles), then one keepalive per parent whose
+  /// link has had no recent unicast feedback of its own.
+  void confirm_parents(SimTime now) override;
+  /// Our routes re-homed: a newer advert sequence and a triggered advert.
+  void on_routes_changed() override;
+  /// Children, then subtree routes.
+  void prune_soft_state(SimTime now) override;
 
-  void send_join_in();
-  void send_callback(NodeId parent, bool as_best);
-  void send_poison();
   void send_dest_advert();
   void process_dest_advert(NodeId from, const DestAdvertPayload& payload,
                            SimTime now);
 
-  /// Accumulated ETX to the APs through neighbor `id`
-  /// (paper: ETXa(node, i) = ETX(node, i) + ETXw(i)).
-  [[nodiscard]] double accumulated(NodeId id) const;
-  /// Recomputes rank_ and etxw_ from the current parents. Returns true if
-  /// either changed materially.
-  bool recompute(SimTime now);
   /// Picks the lowest-cost eligible second-best parent from the neighbor
   /// table (rank < ours, not the best parent). Returns kNoNode if none.
   [[nodiscard]] NodeId select_second_best() const;
-  /// True if `id` is currently in our child table. A child's route passes
-  /// through us, so adopting it as a parent would form a routing loop
-  /// (the distance-vector count-to-infinity); children are never parent
-  /// candidates.
-  [[nodiscard]] bool is_child(NodeId id) const;
-  /// Marks a neighbor unusable until it is heard from again.
-  void invalidate_neighbor(NodeId id);
-  void prune_children(SimTime now);
   /// Drops subtree routes that were not refreshed or whose via-child left.
   void prune_descendants(SimTime now);
-  void after_update(bool changed, SimTime now);
-
-  Simulator& sim_;
-  NodeId id_;
-  bool is_access_point_;
-  NeighborTable& neighbors_;
-  DigsRoutingConfig config_;
-  Env env_;
 
   /// Reassigns bp/sbp while carrying each parent's confirmed role along
   /// with its identity (a demoted parent keeps its confirmed kPrimary role
@@ -172,23 +114,8 @@ class DigsRouting final : public RoutingProtocol {
   /// retries after lost callbacks).
   void reconfirm_roles();
 
-  NodeId best_parent_;
-  NodeId second_best_parent_;
-  ConfirmedRole bp_confirmed_{ConfirmedRole::kNone};
-  ConfirmedRole sbp_confirmed_{ConfirmedRole::kNone};
-  std::uint16_t rank_{NeighborInfo::kInfiniteRank};
-  double etxw_{NeighborInfo::kInfiniteEtx};
-  std::vector<ChildEntry> children_;
+  DigsRoutingConfig digs_config_;
 
-  Trickle trickle_;
-  PeriodicTimer prune_timer_;
-  /// DIS-analogue pacing: while synchronized but parentless, solicit
-  /// join-ins so Trickle-suppressed neighbors answer promptly.
-  PeriodicTimer solicit_timer_;
-  /// Retries joined-callbacks for parents that have not confirmed their
-  /// current role (lost callbacks would otherwise leave attempt slots
-  /// unusable forever).
-  PeriodicTimer confirm_timer_;
   /// Downlink graph: dest id -> (child next hop, last refresh).
   struct Descendant {
     NodeId via;
@@ -204,10 +131,6 @@ class DigsRouting final : public RoutingProtocol {
   /// couple of seconds after the subtree or the best parent changes.
   EventHandle advert_soon_;
   void schedule_advert_soon();
-  SimTime last_bp_feedback_{};
-  SimTime last_sbp_feedback_{};
-  bool started_{false};
-  std::uint64_t parent_switches_{0};
 };
 
 }  // namespace digs

@@ -3,110 +3,38 @@
 // preferred parent (minimum accumulated ETX with hysteresis, candidate rank
 // strictly below its own), advertises its accumulated ETX in Trickle-paced
 // join-ins (DIO equivalents), and repairs by re-selecting a parent after
-// consecutive ACK failures — with rank poisoning when it detaches.
+// consecutive ACK failures — with rank poisoning when it detaches. Pacing,
+// failure detection and the child table are DiGS's own (the shared
+// DistanceVectorRouting core), for a fair baseline.
 //
 // There is deliberately no second-best parent and no backup route: the
 // repair gap this creates under interference and node failure is the
 // phenomenon measured in paper Figs. 4, 5, 9 and 11.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "common/rng.h"
-#include "routing/routing.h"
-#include "routing/trickle.h"
-#include "sim/simulator.h"
+#include "routing/distance_vector.h"
 
 namespace digs {
 
-struct RplRoutingConfig {
-  TrickleConfig trickle;
-  double parent_switch_hysteresis = 0.5;
-  /// Same evidence-weighted failure detection as DiGS (see
-  /// DigsRoutingConfig) for a fair baseline.
-  int parent_fail_noacks = 10;
-  double parent_fail_etx = 8.0;
-  SimDuration child_timeout = seconds(static_cast<std::int64_t>(180));
-  double cost_epsilon = 0.25;
-};
+using RplRoutingConfig = DistanceVectorConfig;
 
-class RplRouting final : public RoutingProtocol {
+class RplRouting final : public DistanceVectorRouting {
  public:
   RplRouting(Simulator& sim, NodeId id, bool is_access_point,
              NeighborTable& neighbors, const RplRoutingConfig& config,
              Rng rng, Env env);
 
-  void start(SimTime now) override;
-  void stop(SimTime now) override;
-  void power_down(SimTime now) override;
-  void handle_frame(const Frame& frame, double rss_dbm, SimTime now) override;
-  void on_tx_result(NodeId peer, FrameType type, bool acked,
-                    SimTime now) override;
-  void touch_child(NodeId from, SimTime now) override;
-
-  [[nodiscard]] NodeId best_parent() const override { return parent_; }
-  [[nodiscard]] NodeId second_best_parent() const override { return kNoNode; }
-  [[nodiscard]] ConfirmedRole best_parent_confirmed() const override {
-    return parent_confirmed_;
-  }
-  [[nodiscard]] ConfirmedRole second_best_parent_confirmed() const override {
-    return ConfirmedRole::kNone;
-  }
-  [[nodiscard]] std::uint16_t rank() const override { return rank_; }
-  [[nodiscard]] double advertised_cost() const override { return cost_; }
-  [[nodiscard]] std::span<const ChildEntry> children() const override {
-    return children_;
-  }
-  [[nodiscard]] bool joined() const override {
-    return is_access_point_ ? rank_ == kAccessPointRank : parent_.valid();
-  }
-
-  [[nodiscard]] std::uint64_t parent_switches() const {
-    return parent_switches_;
-  }
-  [[nodiscard]] const Trickle& trickle() const { return trickle_; }
-
  private:
-  void process_join_in(NodeId from, const JoinInPayload& payload, SimTime now);
-  void process_callback(NodeId from, const JoinedCallbackPayload& payload,
-                        SimTime now);
-  void handle_parent_failure(NodeId failed, SimTime now);
-  [[nodiscard]] double accumulated(NodeId id) const;
-  bool recompute(SimTime now);
-  void after_update(bool changed, SimTime now);
-  void send_join_in();
-  void send_poison();
-  void send_callback(NodeId parent);
-  void invalidate_neighbor(NodeId id);
-  void prune_children(SimTime now);
-  /// Children route through us; they are never parent candidates.
-  [[nodiscard]] bool is_child(NodeId id) const;
-
-  Simulator& sim_;
-  NodeId id_;
-  bool is_access_point_;
-  NeighborTable& neighbors_;
-  RplRoutingConfig config_;
-  Env env_;
-
-  NodeId parent_;
-  /// kPrimary once the parent ACKed our joined-callback (it then has the
-  /// RX cell for our unicast slot); kNone otherwise.
-  ConfirmedRole parent_confirmed_{ConfirmedRole::kNone};
-  std::uint16_t rank_{NeighborInfo::kInfiniteRank};
-  double cost_{NeighborInfo::kInfiniteEtx};
-  std::vector<ChildEntry> children_;
-
-  Trickle trickle_;
-  PeriodicTimer prune_timer_;
-  /// RPL DIS pacing: while synchronized but parentless, solicit DIOs.
-  PeriodicTimer solicit_timer_;
-  /// Retries the joined-callback until the parent confirms membership.
-  PeriodicTimer confirm_timer_;
-  SimTime last_parent_feedback_{};
-  bool started_{false};
-  std::uint64_t parent_switches_{0};
+  void process_join_in(NodeId from, SimTime now) override;
+  void handle_parent_failure(NodeId failed, SimTime now) override;
+  /// Accumulated ETX through the parent.
+  double path_cost(const NeighborInfo& best) override;
+  /// One callback when the parent is unconfirmed or its link idle: a retry
+  /// of the announcement, or a keepalive probing the parent (TSCH
+  /// keepalive semantics) and refreshing its child table.
+  void confirm_parents(SimTime now) override;
+  /// Makes `parent` the (unconfirmed) preferred parent and announces it.
+  void adopt(NodeId parent);
 };
 
 }  // namespace digs

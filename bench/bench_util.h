@@ -5,15 +5,15 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstddef>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
-#include <type_traits>
-#include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/node.h"
@@ -62,39 +62,6 @@ inline TestbedLayout city_floor(int devices, std::uint64_t seed) {
   return layout;
 }
 
-/// Runs `fn(0..count-1)` on trial_threads() workers (override with
-/// `threads`; DIGS_THREADS=1 disables threading) and returns the results
-/// indexed by input — identical to the sequential loop regardless of the
-/// worker count. For benches whose per-run product is not an
-/// ExperimentResult (suite aggregates, repair traces); plain experiment
-/// sweeps should use run_trials().
-template <typename Fn>
-std::vector<std::invoke_result_t<Fn, int>> parallel_map(int count, Fn fn,
-                                                        std::size_t threads =
-                                                            0) {
-  if (threads == 0) threads = trial_threads();
-  std::vector<std::invoke_result_t<Fn, int>> results(
-      static_cast<std::size_t>(count));
-  const std::size_t workers =
-      std::min(threads, static_cast<std::size_t>(count));
-  if (workers <= 1) {
-    for (int i = 0; i < count; ++i) results[i] = fn(i);
-    return results;
-  }
-  std::atomic<int> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (int i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-        results[i] = fn(i);
-      }
-    });
-  }
-  for (auto& worker : pool) worker.join();
-  return results;
-}
-
 inline void header(const std::string& title, const std::string& paper_ref) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title.c_str());
@@ -121,15 +88,25 @@ inline void print_boxplot(const Cdf& cdf, const std::string& label) {
   std::fputs(format_boxplot(cdf.boxplot(), label).c_str(), stdout);
 }
 
+/// A count-valued bench setting parsed by env_count() (0 when unset,
+/// empty or 0). A malformed value prints env_count()'s message and exits
+/// with status 2: a plain failing exit, not an uncaught-exception abort.
+inline int env_setting(const char* name) {
+  try {
+    return static_cast<int>(
+        env_count(name, std::numeric_limits<int>::max()));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+}
+
 /// Number of repeated flow sets per configuration. The paper uses 300 (A)
 /// and 220 (B); benches default to a smaller representative count so the
 /// full suite finishes in minutes. Override with DIGS_BENCH_RUNS.
 inline int default_runs(int fallback = 10) {
-  if (const char* env = std::getenv("DIGS_BENCH_RUNS")) {
-    const int runs = std::atoi(env);
-    if (runs > 0) return runs;
-  }
-  return fallback;
+  const int runs = env_setting("DIGS_BENCH_RUNS");
+  return runs > 0 ? runs : fallback;
 }
 
 }  // namespace digs::bench

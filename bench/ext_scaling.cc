@@ -215,6 +215,9 @@ int main() {
     return env != nullptr && env[0] == '1';
   }();
   const int runs = bench::default_runs(3);
+  const int city_cap = bench::env_setting("DIGS_SCALING_MAX_DEVICES");
+  const int city_max = city_cap > 0 ? city_cap : 10000;
+  const int city_min = bench::env_setting("DIGS_SCALING_MIN_DEVICES");
   std::printf("%d runs per size; 8 flows @ 5 s, no interference\n\n", runs);
   std::printf("%8s %12s | %-26s | %-26s\n", "", "", "DiGS", "Orchestra");
   std::printf("%8s %12s | %8s %8s %8s | %8s %8s %8s\n", "devices", "",
@@ -264,16 +267,6 @@ int main() {
               "thr", "PDR", "medLat", "join_s", "build_s", "run_s");
 
   const unsigned hw = std::thread::hardware_concurrency();
-  int city_max = 10000;
-  if (const char* env = std::getenv("DIGS_SCALING_MAX_DEVICES")) {
-    const int cap = std::atoi(env);
-    if (cap > 0) city_max = cap;
-  }
-  int city_min = 0;
-  if (const char* env = std::getenv("DIGS_SCALING_MIN_DEVICES")) {
-    const int floor = std::atoi(env);
-    if (floor > 0) city_min = floor;
-  }
 
   std::vector<CityRow> city_rows;
   bool ran_5k_pair = false;

@@ -118,7 +118,7 @@ RunProduct run_one(ProtocolSuite suite, int r) {
 
 Result run(ProtocolSuite suite, int runs) {
   Result result;
-  for (const RunProduct& product : bench::parallel_map(
+  for (const RunProduct& product : parallel_map(
            runs, [suite](int r) { return run_one(suite, r); })) {
     if (!product.counted) continue;
     ++result.runs_counted;

@@ -84,9 +84,8 @@ RunProduct run_one(ProtocolSuite suite, int run) {
   // completes, so the damage compounds as in the paper), starting
   // 100 s into the measurement window.
   for (std::size_t k = 0; k < relays.size(); ++k) {
-    config.failures.push_back(FailureEvent{
-        config.warmup + seconds(static_cast<std::int64_t>(100 + 25 * k)),
-        relays[k], false});
+    config.faults.crash(seconds(static_cast<std::int64_t>(100 + 25 * k)),
+                        relays[k]);
   }
   ExperimentRunner runner(testbed_a(), config);
   const ExperimentResult result = runner.run();
@@ -98,14 +97,14 @@ RunProduct run_one(ProtocolSuite suite, int run) {
     // Flows sourced at a killed node are excluded (their loss is
     // trivial, not a routing property).
     bool source_killed = false;
-    for (const FailureEvent& failure : config.failures) {
+    for (const FaultEvent& failure : config.faults.events()) {
       if (failure.node == flow.source) source_killed = true;
     }
     if (source_killed) continue;
     // The paper measures delivery while the network absorbs each
     // failure: per-flow PDR over the minute following every kill.
-    for (const FailureEvent& failure : config.failures) {
-      const SimTime at = SimTime{0} + failure.at;
+    for (const FaultEvent& failure : config.faults.events()) {
+      const SimTime at = runner.measure_start() + failure.at;
       const double pdr =
           stats.pdr(flow.id, at, at + seconds(static_cast<std::int64_t>(60)));
       product.window_pdrs.push_back(pdr);
@@ -137,7 +136,7 @@ int main() {
     int disconnected_flows = 0;
     int total_flows = 0;
 
-    const std::vector<RunProduct> products = bench::parallel_map(
+    const std::vector<RunProduct> products = parallel_map(
         runs, [suite](int run) { return run_one(suite, run); });
     for (const RunProduct& product : products) {
       for (const double pdr : product.window_pdrs) flow_pdr.add(pdr);

@@ -51,9 +51,7 @@ Outcome run_suite(ProtocolSuite suite) {
   config.flow_period = seconds(static_cast<std::int64_t>(5));
   config.warmup = seconds(static_cast<std::int64_t>(240));
   config.duration = seconds(static_cast<std::int64_t>(300));
-  config.failures.push_back(FailureEvent{
-      config.warmup + seconds(static_cast<std::int64_t>(120)), relay,
-      false});
+  config.faults.crash(seconds(static_cast<std::int64_t>(120)), relay);
   auto runner = std::make_unique<ExperimentRunner>(testbed_a(), config);
   const ExperimentResult result = runner->run();
 

@@ -1,6 +1,7 @@
-// Common interface of the two routing protocols: DiGS distributed graph
+// Common interface of the three routing protocols: DiGS distributed graph
 // routing (paper Section V) and the RPL-like single-parent baseline that
-// Orchestra schedules on top of.
+// Orchestra schedules on top of, both built on the DistanceVectorRouting
+// core, and the centrally installed routes of the WirelessHART suite.
 //
 // The protocol object is pure control plane: it consumes routing frames and
 // link feedback, and exposes the current parents / rank / advertised cost /

@@ -8,8 +8,12 @@
 // flow sources, fading, and traffic phases.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/fault_script.h"
@@ -18,12 +22,6 @@
 #include "testbed/plant.h"
 
 namespace digs {
-
-struct FailureEvent {
-  SimDuration at;  // offset from network start
-  NodeId node;
-  bool alive{false};
-};
 
 struct ExperimentConfig {
   ProtocolSuite suite = ProtocolSuite::kDigs;
@@ -77,12 +75,9 @@ struct ExperimentConfig {
   SimDuration randomize_epoch = seconds(static_cast<std::int64_t>(30));
   std::uint64_t randomize_seed = 1;
 
-  std::vector<FailureEvent> failures;
-
   /// Declarative fault timeline (crash/recover cycles, link blackouts,
   /// AP failover, bursts), installed when the measurement window starts —
-  /// offsets in the script are relative to warmup end. Richer than the raw
-  /// `failures` list (which stays for offsets relative to network start).
+  /// offsets in the script are relative to warmup end.
   FaultScript faults;
   /// Runs the NetworkInvariantMonitor during the experiment; violations are
   /// counted in ExperimentResult::invariant_violations.
@@ -264,8 +259,8 @@ struct ExperimentResult {
 
 class ExperimentRunner {
  public:
-  /// Throws std::invalid_argument when a `failures` entry or a `faults`
-  /// event names a node outside the layout.
+  /// Throws std::invalid_argument when a `faults` event names a node
+  /// outside the layout.
   ExperimentRunner(const TestbedLayout& layout, const ExperimentConfig& config);
 
   /// Runs the full experiment and returns the harvested metrics. The
@@ -310,18 +305,49 @@ struct TrialSpec {
   ExperimentConfig config;
 };
 
-/// Worker count for run_trials() and the bench parallel_map(): the
-/// DIGS_THREADS environment variable when it holds a count above 0,
-/// otherwise (unset, empty or 0) the hardware concurrency (min 1). A value
-/// that is not a plain decimal count throws std::invalid_argument (see
-/// env_count()).
+/// Worker count for parallel_map() and run_trials(): the DIGS_THREADS
+/// environment variable when it holds a count above 0, otherwise (unset,
+/// empty or 0) the hardware concurrency (min 1). A value that is not a
+/// plain decimal count throws std::invalid_argument (see env_count()).
 [[nodiscard]] std::size_t trial_threads();
 
-/// Runs every trial on a small thread pool and returns the results in
+/// Runs `fn(0..count-1)` on a small thread pool and returns the results
+/// indexed by input, identical to the sequential loop whatever `threads`
+/// is, as long as each call is a pure function of its index.
+/// `threads == 0` means trial_threads(); `1` runs inline without spawning.
+template <typename Fn>
+[[nodiscard]] std::vector<std::invoke_result_t<Fn, std::size_t>> parallel_map(
+    std::size_t count, Fn fn, std::size_t threads = 0) {
+  if (threads == 0) threads = trial_threads();
+  std::vector<std::invoke_result_t<Fn, std::size_t>> results(count);
+  const std::size_t workers = std::min(threads, count);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) results[i] = fn(i);
+    return results;
+  }
+  // Dynamic work stealing off one atomic counter: runs vary widely in cost,
+  // so static striping would leave workers idle. Every worker writes only
+  // results[i] for the indices it claimed, so no synchronization beyond the
+  // counter and the joins is needed.
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool.emplace_back([&] {
+      for (std::size_t i = next.fetch_add(1); i < count;
+           i = next.fetch_add(1)) {
+        results[i] = fn(i);
+      }
+    });
+  }
+  for (auto& worker : pool) worker.join();
+  return results;
+}
+
+/// Runs every trial through parallel_map() and returns the results in
 /// submission order. Each trial is an independent ExperimentRunner — a pure
 /// function of its spec — so the result vector is bit-identical to running
-/// the trials sequentially, whatever `threads` is. `threads == 0` means
-/// trial_threads(); `1` runs inline without spawning.
+/// the trials sequentially.
 [[nodiscard]] std::vector<ExperimentResult> run_trials(
     const std::vector<TrialSpec>& trials, std::size_t threads = 0);
 

@@ -139,10 +139,8 @@ INSTANTIATE_TEST_SUITE_P(Suites, EngineEquivalenceDrift,
 TEST(EngineEquivalenceFailures, KillAndReviveBitIdentical) {
   ExperimentConfig config = small_config(ProtocolSuite::kDigs, 5);
   // Kill a relay mid-measurement, revive it 30 s later.
-  config.failures.push_back(
-      FailureEvent{seconds(std::int64_t{80}), NodeId{7}, false});
-  config.failures.push_back(
-      FailureEvent{seconds(std::int64_t{110}), NodeId{7}, true});
+  config.faults.crash(seconds(std::int64_t{20}), NodeId{7});
+  config.faults.recover(seconds(std::int64_t{50}), NodeId{7});
   const RunSnapshot engine = run_once(config, /*use_slot_engine=*/true);
   const RunSnapshot polled = run_once(config, /*use_slot_engine=*/false);
   expect_identical(engine, polled);

@@ -190,8 +190,7 @@ TEST(IntegrationTest, DigsSurvivesRouterFailure) {
   ASSERT_TRUE(relay.valid());
 
   ExperimentConfig failure_config = config;
-  failure_config.failures.push_back(FailureEvent{
-      config.warmup + seconds(static_cast<std::int64_t>(60)), relay, false});
+  failure_config.faults.crash(seconds(static_cast<std::int64_t>(60)), relay);
   ExperimentRunner runner(layout, failure_config);
   const ExperimentResult result = runner.run();
   // Flows not sourced at the dead node keep a high PDR.

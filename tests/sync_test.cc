@@ -405,10 +405,8 @@ TEST(SyncNetworkTest, TimeSourceFollowsBestParentAcrossRevival) {
   config.duration = seconds(std::int64_t{120});
   // Crash a relay mid-run and revive it: the revived node must re-acquire a
   // time source via its rescan and then re-pin it to its new best parent.
-  config.failures.push_back(
-      FailureEvent{seconds(std::int64_t{80}), NodeId{7}, false});
-  config.failures.push_back(
-      FailureEvent{seconds(std::int64_t{110}), NodeId{7}, true});
+  config.faults.crash(seconds(std::int64_t{20}), NodeId{7});
+  config.faults.recover(seconds(std::int64_t{50}), NodeId{7});
 
   ExperimentRunner runner(half_testbed_a(), config);
   (void)runner.run();

@@ -229,6 +229,27 @@ ExperimentConfig orchestra_churn_config() {
   return config;
 }
 
+/// DiGS on the city grid through crashes, a revival storm and a clock jump:
+/// the only golden case whose nodes rescan on a grid where the spatial
+/// filter is active, so scanners are coupled to some frames and not to
+/// others. A relay crash cycle, an access-point crash and recovery, a
+/// 5 ms clock jump and 40 ppm drift; monitor off so the node regions run
+/// sharded.
+ExperimentConfig city_churn_config() {
+  ExperimentConfig config = small_config(ProtocolSuite::kDigs, 5);
+  config.num_flows = 8;
+  config.duration = seconds(std::int64_t{90});
+  config.faults.crash_cycle(seconds(std::int64_t{10}), NodeId{64},
+                            seconds(std::int64_t{20}),
+                            seconds(std::int64_t{20}), 2);
+  config.faults.crash(seconds(std::int64_t{15}), NodeId{1});
+  config.faults.recover(seconds(std::int64_t{50}), NodeId{1});
+  config.faults.clock_jump(seconds(std::int64_t{5}), NodeId{30}, 5000.0);
+  config.clock_ppm = 40.0;
+  config.monitor_invariants = false;
+  return config;
+}
+
 struct GoldenCase {
   std::string name;
   TestbedLayout layout;
@@ -258,6 +279,7 @@ std::vector<GoldenCase> golden_cases() {
        0x763EF1765770AA1DULL},
       {"orchestra_churn", half, orchestra_churn_config(),
        0x87DC8AA1C3D63E4FULL},
+      {"city_churn", city, city_churn_config(), 0x02BCAB025BC5FD1AULL},
   };
 }
 
@@ -326,6 +348,22 @@ TEST(GoldenDigestCoverage, OrchestraChurnRunRevivesNodesSharded) {
   EXPECT_EQ(runner.network().num_shards(), 4u);
   EXPECT_EQ(runner.network().invariant_monitor(), nullptr);
   EXPECT_EQ(result.revivals, 3u);
+  EXPECT_GT(result.delivered, 0u);
+}
+
+// The city_churn digest pins scanner re-entry on the active grid only if
+// every revival happens and some node desyncs, with the node regions
+// sharded.
+TEST(GoldenDigestCoverage, CityChurnRescansSharded) {
+  ExperimentConfig config = city_churn_config();
+  config.shards = 4;
+  config.shard_threads = 2;
+  ExperimentRunner runner(testing_layouts::city_layout(), config);
+  const ExperimentResult result = runner.run();
+  EXPECT_EQ(runner.network().num_shards(), 4u);
+  EXPECT_EQ(runner.network().invariant_monitor(), nullptr);
+  EXPECT_EQ(result.revivals, 3u);
+  EXPECT_GT(result.desync_events, 0u);
   EXPECT_GT(result.delivered, 0u);
 }
 

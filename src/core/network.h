@@ -19,11 +19,14 @@
 //
 // Two drivers feed the slot body:
 //   - the schedule-driven slot engine (default): a min-heap of per-node
-//     next-active ASNs wakes only the nodes whose schedule, scan state, or
-//     sync timeout can make them act, and the simulation jumps over slots
-//     where every node sleeps. Sleep energy for the skipped slots is settled
-//     lazily in exact per-slot integer amounts, so results are bit-identical
-//     to polling.
+//     next transmission-capable ASNs picks the slots to execute, and the
+//     simulation jumps over the rest, where nothing can be on the air. An
+//     executed slot visits the heap-due nodes, the synced nodes whose
+//     registered pattern listens there, and only those unsynced scanners
+//     that some on-air frame can reach on their scan channel. Everything
+//     the left-out nodes would have done (sleep, an idle RX guard, a
+//     full-slot scan listen) is settled lazily in exact per-slot integer
+//     amounts, so results are bit-identical to polling.
 //   - the polled loop (use_slot_engine = false): one event per slot asking
 //     every alive node, kept as the reference implementation for the
 //     equivalence tests.
@@ -307,8 +310,10 @@ class Network {
 
   /// Executes TSCH slot `asn` for `participants` (node indices in ascending
   /// id order). The polled loop passes every node; the engine passes the
-  /// woken subset — since absent nodes are exactly the sleepers, plans,
-  /// medium resolution, RNG draws, deliveries, and energy are identical.
+  /// heap-due nodes and the registered listeners, and the slot adds the
+  /// scanners a frame can reach once the on-air list is known. Absent nodes
+  /// only sleep, idle-listen or scan with nothing to hear, so plans, medium
+  /// resolution, RNG draws, deliveries, and energy are identical.
   /// Runs settle + plan, deliver + outcomes, energy and end_slot as regions
   /// over slot_shards_ work lists (see the file header). `prof_mark`, when
   /// non-null (profiler on), carries the caller's chained phase timestamp
@@ -380,7 +385,10 @@ class Network {
   /// nothing is on the air unless some node is TX-capable, so the engine
   /// executes exactly the TX-capable slots, finds the listeners there via
   /// the reverse listen index, and settles skipped listens arithmetically.
-  /// Unsynced alive nodes are tracked in `scanners_` instead of the heap.
+  /// Unsynced alive nodes are tracked in `scanners_` instead of the heap,
+  /// and their cached scan channel is forgotten: every reset of scan state
+  /// (sync, desync, power-down, revival) reaches this branch before the
+  /// node's next executed slot.
   void refresh_wake(std::size_t i, std::uint64_t from);
   /// Adds/removes node i from the sorted scanner set.
   void set_scanner(std::size_t i, bool scanning);
@@ -389,6 +397,8 @@ class Network {
   /// listen offsets) into `registered_[i]` and the reverse listen buckets.
   /// The registered copy is what settling steps over, so it must be updated
   /// only *after* the slots that used the old pattern have been settled.
+  /// An unsynced node registers no pattern (it listens through its scan
+  /// plan, not its schedule), so the buckets hold synced nodes only.
   void update_listen_registration(std::size_t i);
   /// Drops node i from the listen buckets (node death).
   void clear_listen_registration(std::size_t i);
@@ -415,6 +425,15 @@ class Network {
   void settle_node_to(std::size_t i, std::uint64_t target);
   /// Settles every alive node up to slots_completed(now).
   void settle_all();
+  /// Engine only, after the gather of a slot with frames on the air and
+  /// cell_index_ built over them: settles and plans the scanners some
+  /// on-air attempt on their scan channel is coupled to, and merges them by
+  /// id into listeners_ and, with `participants`, into slot_members_.
+  /// Returns false, touching nothing, when no scanner is near a frame. A
+  /// left-out scanner's candidate list would be empty, so its slot is
+  /// exactly the full-slot scan listen settle_node_to() charges.
+  bool add_near_scanners(std::uint64_t asn, SimTime slot_start,
+                         const std::vector<std::uint16_t>& participants);
 
   NetworkConfig config_;
   Simulator sim_;
@@ -531,12 +550,23 @@ class Network {
   std::vector<std::uint16_t> participants_;
   std::vector<std::uint16_t> all_ids_;  // 0..N-1, for the polled driver
   std::vector<std::uint32_t> identity_;  // 0..N-1: every one-list work list
-  // Unsynced alive nodes (ascending ids). Appended to every executed slot
-  // (any potential transmitter implies a scheduled wake) and settled lazily
-  // across the provably-empty skipped slots.
+  // Unsynced alive nodes (ascending ids). An executed slot takes only those
+  // an on-air frame can reach on their scan channel (add_near_scanners);
+  // every other scan slot is settled lazily as a full-slot listen.
   std::vector<std::uint16_t> scanners_;
   std::vector<char> scanning_;            // membership flag, by node index
-  std::vector<std::uint16_t> slot_nodes_;  // scratch: full participant set
+  // Per-node cache of the scan plan's channel: scan_channel_[i] holds for
+  // every ASN below scan_channel_until_[i] (0 = unknown). Exact because a
+  // scanner's scan counter and slots_charged_[i] advance together — every
+  // slot, settled or planned, adds one to both — and refresh_wake() clears
+  // it on every reset of scan state.
+  std::vector<PhysicalChannel> scan_channel_;
+  std::vector<std::uint64_t> scan_channel_until_;
+  std::vector<std::uint16_t> near_scanners_;  // scratch: the slot's kept
+                                              // scanners, ascending
+  std::vector<std::uint16_t> slot_nodes_;  // scratch: heap-due + listeners
+  std::vector<std::uint16_t> slot_members_;  // scratch: slot_nodes_ + kept
+                                             // scanners
   std::vector<std::uint16_t> merge_scratch_;  // set_union double buffer
 
   // Reverse listen index: for each (class, slotframe length) in use, the
@@ -588,6 +618,7 @@ class Network {
   };
   std::vector<PlannedTx> transmitters_;
   std::vector<SlotListener> listeners_;
+  std::vector<SlotListener> listener_scratch_;  // merge double buffer
   std::vector<TransmissionAttempt> on_air_;
   std::vector<SlotRx> receptions_;
   std::vector<std::uint8_t> frame_acked_;
@@ -621,9 +652,10 @@ class Network {
   std::vector<Simulator::DeferBuffer> defer_bufs_;
   // Cumulative per-shard busy ns across regions (profiler on only).
   std::vector<std::uint64_t> shard_busy_ns_;
-  // Per-slot attempt buckets by grid cell, built once per busy slot and
-  // shared read-only by every shard's resolver; ack_cells_ is the same
-  // index over the slot's ACK attempts for the reverse-link resolution.
+  // Per-slot attempt buckets by grid cell, built once per busy slot right
+  // after the gather and shared read-only by the scanner selection and
+  // every shard's resolver; ack_cells_ is the same index over the slot's
+  // ACK attempts for the reverse-link resolution.
   CellAttemptIndex cell_index_;
   CellAttemptIndex ack_cells_;
 };

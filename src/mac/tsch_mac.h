@@ -292,6 +292,25 @@ class TschMac {
     reseed_scan_dwell();
   }
 
+  /// Where the scan plan stands `ahead` scan slots from now (0 = the next
+  /// plan_slot() while unsynced): the channel plan_slot() scans there, and
+  /// how many scan slots, that one included, stay on it before the dwell
+  /// rotates. Meaningful while unsynced; reads no mutable state beyond the
+  /// scan counters, so the engine can ask without touching the node's plan.
+  struct ScanDwell {
+    PhysicalChannel channel;
+    std::uint64_t slots;
+  };
+  [[nodiscard]] ScanDwell scan_dwell_ahead(std::uint64_t ahead) const {
+    const std::uint64_t dwell = scan_dwell_len();
+    const std::uint64_t slot = scan_slots_ + ahead;
+    return ScanDwell{
+        static_cast<PhysicalChannel>(
+            (static_cast<std::uint64_t>(scan_channel_start_) + slot / dwell) %
+            kNumChannels),
+        dwell - slot % dwell};
+  }
+
   // Diagnostics
   [[nodiscard]] std::uint64_t data_tx_attempts() const {
     return data_tx_attempts_;

@@ -3,8 +3,10 @@
 // policy, join/sync behaviour, and shared-slot backoff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "mac/hopping.h"
@@ -282,6 +284,63 @@ TEST(TschMacTest, ScanRotatesChannels) {
     channels.insert(harness.mac->plan_slot(asn, SimTime{0}).channel);
   }
   EXPECT_EQ(channels.size(), 16u);
+}
+
+// The slot engine reads an unsynced MAC's scan channel k slots ahead
+// without planning. Predicts `steps` scan slots from the current state,
+// checks that the dwell counts end exactly where the channel changes, then
+// walks the MAC through those slots with a mix of plan_slot() and
+// advance_scan() steps, comparing every planned channel.
+void expect_scan_dwell_matches_plans(TschMac& mac, std::uint64_t steps) {
+  ASSERT_FALSE(mac.synced());
+  std::vector<TschMac::ScanDwell> ahead;
+  for (std::uint64_t k = 0; k < steps; ++k) {
+    ahead.push_back(mac.scan_dwell_ahead(k));
+  }
+  for (std::uint64_t k = 0; k + 1 < steps; ++k) {
+    if (ahead[k].slots > 1) {
+      EXPECT_EQ(ahead[k + 1].channel, ahead[k].channel) << k;
+      EXPECT_EQ(ahead[k + 1].slots, ahead[k].slots - 1) << k;
+    } else {
+      EXPECT_NE(ahead[k + 1].channel, ahead[k].channel) << k;
+      EXPECT_EQ(ahead[k + 1].slots, mac.config().scan_dwell_slots) << k;
+    }
+  }
+  std::uint64_t k = 0;
+  while (k < steps) {
+    EXPECT_EQ(mac.plan_slot(k, SimTime{0}).channel, ahead[k].channel) << k;
+    ++k;
+    const std::uint64_t skip = std::min<std::uint64_t>(k % 4, steps - k);
+    mac.advance_scan(skip);
+    k += skip;
+  }
+}
+
+TEST(TschMacTest, ScanDwellAheadMatchesPlannedChannels) {
+  MacConfig config;
+  config.scan_dwell_slots = 7;
+  MacHarness harness(NodeId{5}, false, config);
+  TschMac& mac = *harness.mac;
+  // Each walk leaves the counter at a different phase of the dwell, so the
+  // next one's predictions cross dwell boundaries from another offset.
+  EXPECT_EQ(mac.scan_dwell_ahead(0).slots, 7u);
+  for (int walk = 0; walk < 4; ++walk) {
+    expect_scan_dwell_matches_plans(mac, 26 + walk);
+  }
+
+  // A desync restarts the scan at the top of a dwell on a freshly drawn
+  // channel.
+  mac.on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0});
+  ASSERT_TRUE(mac.synced());
+  mac.reset_to_unsynced(SimTime{100});
+  EXPECT_EQ(mac.scan_dwell_ahead(0).slots, 7u);
+  expect_scan_dwell_matches_plans(mac, 30);
+
+  // So does a power loss, mid-dwell.
+  mac.advance_scan(4);
+  mac.power_down(SimTime{200});
+  EXPECT_EQ(mac.scan_dwell_ahead(0).slots, 7u);
+  expect_scan_dwell_matches_plans(mac, 30);
 }
 
 TEST(TschMacTest, SyncTimeoutDesyncs) {

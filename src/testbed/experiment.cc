@@ -53,7 +53,9 @@ ExperimentRunner::ExperimentRunner(const TestbedLayout& layout,
   // anything is built or scheduled (set_node_alive does not bounds-check).
   config.faults.validate(layout.num_nodes());
   // A negative offset would be clamped to "now" and fire out of order; the
-  // strike schedule needs a positive downtime and at least one strike.
+  // strike schedule needs a positive downtime and at least one strike. A
+  // periodic timer with a period <= 0 reschedules itself at the same
+  // instant forever, so every period in use must be positive.
   const auto reject = [](const char* field, double value, const char* why) {
     char msg[128];
     std::snprintf(msg, sizeof msg, "ExperimentConfig::%s = %g %s", field,
@@ -71,6 +73,17 @@ ExperimentRunner::ExperimentRunner(const TestbedLayout& layout,
   if (config.crash_tunnel_relay_cycles < 1) {
     reject("crash_tunnel_relay_cycles", config.crash_tunnel_relay_cycles,
            "is below 1");
+  }
+  if (config.num_flows > 0 && config.flow_period.us <= 0) {
+    reject("flow_period", config.flow_period.seconds(), "s is not positive");
+  }
+  if (config.randomize_schedule && config.randomize_epoch.us <= 0) {
+    reject("randomize_epoch", config.randomize_epoch.seconds(),
+           "s is not positive");
+  }
+  if (config.control_loops > 0 && config.control_period.us <= 0) {
+    reject("control_period", config.control_period.seconds(),
+           "s is not positive");
   }
 
   NetworkConfig net;

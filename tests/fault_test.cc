@@ -492,23 +492,23 @@ TEST(FaultValidationTest, NegativeBurstDurationIsRejected) {
 }
 
 // The relay-strike knobs: a negative offset, a downtime <= 0 and fewer than
-// one strike are rejected at construction.
+// one strike are rejected at construction, with exactly `expected` as the
+// message.
 void expect_runner_rejects(const ExperimentConfig& config,
                            const std::string& expected) {
   try {
     ExperimentRunner runner(half_testbed_a(), config);
     ADD_FAILURE() << expected << ": the runner accepted the config";
   } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find(expected), std::string::npos) << msg;
+    EXPECT_EQ(std::string(e.what()), expected);
   }
 }
 
 TEST(FaultValidationTest, NegativeRelayStrikeOffsetIsRejected) {
   ExperimentConfig config;
   config.crash_tunnel_relay_after = seconds(std::int64_t{-5});
-  expect_runner_rejects(config,
-                        "ExperimentConfig::crash_tunnel_relay_after = -5 s");
+  expect_runner_rejects(
+      config, "ExperimentConfig::crash_tunnel_relay_after = -5 s is negative");
   config.crash_tunnel_relay_after = seconds(std::int64_t{0});
   EXPECT_NO_THROW({ ExperimentRunner runner(half_testbed_a(), config); });
 }
@@ -518,10 +518,12 @@ TEST(FaultValidationTest, NonPositiveRelayStrikeDowntimeIsRejected) {
   config.crash_tunnel_relay_after = seconds(std::int64_t{60});
   config.crash_tunnel_relay_downtime = SimDuration{0};
   expect_runner_rejects(
-      config, "ExperimentConfig::crash_tunnel_relay_downtime = 0 s");
+      config,
+      "ExperimentConfig::crash_tunnel_relay_downtime = 0 s is not positive");
   config.crash_tunnel_relay_downtime = seconds(std::int64_t{-30});
   expect_runner_rejects(
-      config, "ExperimentConfig::crash_tunnel_relay_downtime = -30 s");
+      config,
+      "ExperimentConfig::crash_tunnel_relay_downtime = -30 s is not positive");
 }
 
 TEST(FaultValidationTest, RelayStrikeCyclesBelowOneAreRejected) {
@@ -535,6 +537,39 @@ TEST(FaultValidationTest, RelayStrikeCyclesBelowOneAreRejected) {
   }
   config.crash_tunnel_relay_cycles = 1;
   EXPECT_NO_THROW({ ExperimentRunner runner(half_testbed_a(), config); });
+}
+
+// Each period drives a timer that reschedules itself one period later; a
+// period <= 0 would fire at the same instant forever. A zero period is
+// rejected only while its feature is on.
+TEST(FaultValidationTest, NonPositiveFlowPeriodIsRejected) {
+  ExperimentConfig config;
+  config.flow_period = SimDuration{0};
+  expect_runner_rejects(config,
+                        "ExperimentConfig::flow_period = 0 s is not positive");
+  config.flow_period = seconds(std::int64_t{-1});
+  expect_runner_rejects(
+      config, "ExperimentConfig::flow_period = -1 s is not positive");
+  config.num_flows = 0;
+  EXPECT_NO_THROW({ ExperimentRunner runner(half_testbed_a(), config); });
+}
+
+TEST(FaultValidationTest, NonPositiveRandomizeEpochIsRejected) {
+  ExperimentConfig config;
+  config.randomize_epoch = SimDuration{0};
+  EXPECT_NO_THROW({ ExperimentRunner runner(half_testbed_a(), config); });
+  config.randomize_schedule = true;
+  expect_runner_rejects(
+      config, "ExperimentConfig::randomize_epoch = 0 s is not positive");
+}
+
+TEST(FaultValidationTest, NonPositiveControlPeriodIsRejected) {
+  ExperimentConfig config;
+  config.control_period = SimDuration{0};
+  EXPECT_NO_THROW({ ExperimentRunner runner(half_testbed_a(), config); });
+  config.control_loops = 1;
+  expect_runner_rejects(
+      config, "ExperimentConfig::control_period = 0 s is not positive");
 }
 
 // The experiment runner rejects a fault script naming a node outside the

@@ -18,8 +18,10 @@
 #include <cstdint>
 #include <iostream>
 #include <limits>
+#include <numeric>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/fault_script.h"
 #include "core/invariant_monitor.h"
 #include "core/network.h"
@@ -176,6 +178,84 @@ TEST(ReactiveJammerTest, EpochCatchUpMatchesStepwiseRollover) {
           sparse.active(static_cast<PhysicalChannel>(ch), slot, SimTime{0}));
     }
   }
+}
+
+// The jam set is the top_k cells in (count descending, seeded hash
+// ascending, cell ascending) order. A reference built by a full sort in
+// that order, from a histogram the test mirrors (decay included), must
+// equal active() on every (slot offset, channel) after each epoch. The
+// heard pattern is sparse, so most of the default 423 cells come from the
+// hash-ordered tail of tied counts.
+TEST(ReactiveJammerTest, JamSetMatchesFullSortReference) {
+  const ReactiveJammerConfig config;  // 151-slot period, 1510-slot epochs
+  const std::uint64_t seed = 77;
+  ReactiveJammer jammer(config, seed);
+  const std::size_t period = config.period_slots;
+  auto bin = [&](std::uint64_t slot, int channel) {
+    const auto choff =
+        static_cast<std::size_t>((channel + kNumChannels -
+                                  static_cast<int>(slot % kNumChannels)) %
+                                 kNumChannels);
+    return static_cast<std::size_t>(slot % period) * kNumChannels + choff;
+  };
+  std::vector<std::uint32_t> histogram(period * kNumChannels, 0);
+  std::vector<std::uint8_t> reference(histogram.size(), 0);
+  std::uint32_t epoch = 0;
+  auto rebuild_reference = [&] {
+    ++epoch;
+    std::vector<std::uint32_t> order(histogram.size());
+    std::iota(order.begin(), order.end(), 0U);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                if (histogram[a] != histogram[b]) {
+                  return histogram[a] > histogram[b];
+                }
+                const std::uint64_t ha = hash_mix(seed, epoch, a);
+                const std::uint64_t hb = hash_mix(seed, epoch, b);
+                if (ha != hb) return ha < hb;
+                return a < b;
+              });
+    std::fill(reference.begin(), reference.end(), 0);
+    for (std::size_t i = 0; i < config.top_k; ++i) reference[order[i]] = 1;
+    for (std::uint32_t& count : histogram) count >>= 1;
+  };
+  auto expect_matches_reference = [&] {
+    ASSERT_EQ(jammer.epochs_completed(), epoch);
+    ASSERT_EQ(jammer.jam_cells(), config.top_k);
+    std::size_t jammed = 0;
+    for (std::uint64_t slot = 0; slot < period; ++slot) {
+      for (int ch = 0; ch < kNumChannels; ++ch) {
+        const bool active =
+            jammer.active(static_cast<PhysicalChannel>(ch), slot, SimTime{0});
+        EXPECT_EQ(active, reference[bin(slot, ch)] != 0)
+            << "epoch " << epoch << " slot " << slot << " channel " << ch;
+        jammed += active ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(jammed, config.top_k);
+  };
+
+  const std::uint64_t epoch_slots = config.epoch_slots;
+  std::size_t heard_cells = 0;
+  for (std::uint64_t slot = 0; slot <= 2 * epoch_slots; ++slot) {
+    if (slot > 0 && slot % epoch_slots == 0) rebuild_reference();
+    ASSERT_TRUE(jammer.begin_slot(slot, SimTime{0}));
+    if (slot > 0 && slot % epoch_slots == 0) expect_matches_reference();
+    // Sparse pattern: a few cells with distinct counts, a hot cell heard
+    // every frame, and ties between cells heard equally often.
+    std::vector<int> heard;
+    if (slot % 37 == 5) heard.push_back(static_cast<int>((slot * 7) % 16));
+    if (slot % period == 10) heard.push_back(static_cast<int>(slot % 16));
+    if (slot % period == 90 || slot % period == 120) {
+      heard.push_back(static_cast<int>((slot + 3) % 16));
+    }
+    for (const int ch : heard) {
+      jammer.hear(slot, static_cast<PhysicalChannel>(ch));
+      if (histogram[bin(slot, ch)]++ == 0) ++heard_cells;
+    }
+  }
+  EXPECT_EQ(epoch, 2u);
+  EXPECT_LT(heard_cells, config.top_k / 4);
 }
 
 TEST(ReactiveJammerTest, SilentBeforeStartAndBeforeFirstEpoch) {

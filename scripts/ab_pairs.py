@@ -3,16 +3,19 @@
 
 Runs each checkout's perfbench binary (.bench_build/perfbench/digs_perfbench;
 `python3 perfbench/run.py --selftest` in a checkout builds it) on the same
-workload at --seed 1 --seconds 20, alternating which side runs first in
-each pair, and prints every pair. Then, per metric: the parent's median
-with its quartiles, the change's median, the per-pair median of
-change/parent, and in how many pairs the change was better (direction from
-BENCHMARK.json). A metric whose median moved by less than the parent's
-interquartile range is marked unresolved: the host's own spread is wider
-than the change.
+workload at the same --seed (default 1) for 20 seconds, alternating which
+side runs first in each pair, and prints every pair. Then, per metric: the
+parent's median with its quartiles, the change's median, the per-pair
+median of change/parent, and in how many pairs the change was better
+(direction from BENCHMARK.json). A metric whose median moved by less than
+the parent's interquartile range is marked unresolved: the host's own
+spread is wider than the change.
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload city_sharded \\
-        --pairs 10 [--trace 0|1]
+        --pairs 10 [--seed N] [--trace 0|1]
+
+A claimed gain should also hold at a seed not used while writing the
+change: pass that seed with --seed.
 
 Exits 1 when the two sides print different `result digest` lines (the
 change altered simulated behaviour), 2 when a run fails.
@@ -33,7 +36,8 @@ RUN_TIMEOUT_S = 170
 def run(checkout, args):
     """One benchmark run; returns (result digest line, {metric: value})."""
     cmd = [os.path.join(checkout, BINARY), "--workload", args.workload,
-           "--seed", "1", "--seconds", "20", "--trace", str(args.trace)]
+           "--seed", str(args.seed), "--seconds", "20",
+           "--trace", str(args.trace)]
     try:
         proc = subprocess.run(cmd, cwd=checkout, capture_output=True,
                               text=True, timeout=RUN_TIMEOUT_S)
@@ -76,6 +80,8 @@ def main():
     parser.add_argument("change", help="change checkout (repo root)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="workload seed, the same on both sides")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if args.pairs < 1:
@@ -103,7 +109,8 @@ def main():
         sys.stdout.flush()
 
     names = list(values["parent"][0])
-    print(f"\n{args.workload}, {args.pairs} pairs, trace {args.trace} "
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs, "
+          f"trace {args.trace} "
           "(parent median [Q1, Q3] -> change median; per-pair median "
           "change/parent; pairs where the change was better)")
     for name in names:

@@ -146,6 +146,69 @@ TEST(EngineEquivalenceFailures, KillAndReviveBitIdentical) {
   expect_identical(engine, polled);
 }
 
+// A scanner that loses power and revives within one scan dwell restarts
+// its scan on a freshly drawn channel. The engine caches each scanner's
+// channel to decide which scanners a frame can reach, so a revival must
+// drop that cache or the node is judged on its old channel. On a layout
+// within one grid block every frame couples to every node and the channel
+// alone decides, so short outages of scanning nodes there expose a stale
+// channel at the first co-channel frame.
+RunSnapshot run_scanner_outages(bool use_slot_engine) {
+  const TestbedLayout layout = half_testbed_a();
+  NetworkConfig config;
+  config.suite = ProtocolSuite::kDigs;
+  config.num_access_points = layout.num_access_points;
+  config.seed = 9;
+  config.node = ExperimentRunner::default_node_config();
+  config.node.mac.tx_power_dbm = layout.tx_power_dbm;
+  config.medium.propagation.path_loss_exponent = layout.path_loss_exponent;
+  config.use_slot_engine = use_slot_engine;
+  Network net(config, layout.positions);
+  net.start();
+  // Every 250 ms a quarter of the scanning field devices go down for 20 ms
+  // (2 slots). Instants sit mid-slot, so no slot tick shares them.
+  std::vector<NodeId> down;
+  for (int step = 0; step < 160; ++step) {
+    const SimTime at = SimTime{0} + milliseconds(250 * step + 5);
+    net.run_until(at);
+    for (std::size_t i = layout.num_access_points; i < net.size(); ++i) {
+      const NodeId id{static_cast<std::uint16_t>(i)};
+      if (static_cast<int>(i % 4) != step % 4) continue;
+      if (!net.node(id).alive() || net.node(id).mac().synced()) continue;
+      net.set_node_alive(id, false);
+      down.push_back(id);
+    }
+    net.run_until(at + milliseconds(20));
+    for (const NodeId id : down) net.set_node_alive(id, true);
+    down.clear();
+  }
+  net.run_until(SimTime{0} + seconds(std::int64_t{45}));
+  RunSnapshot snap;
+  snap.final_asn = net.current_asn();
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    const Node& node = net.node(NodeId{static_cast<std::uint16_t>(i)});
+    snap.data_tx_attempts.push_back(node.mac().data_tx_attempts());
+    snap.eb_sent.push_back(node.mac().eb_sent());
+    snap.energy_mj.push_back(node.meter().energy_mj());
+  }
+  for (const SimTime t : net.join_times()) {
+    snap.join_times_s.push_back(t.seconds());
+  }
+  snap.result.revivals = net.revivals().size();
+  return snap;
+}
+
+TEST(EngineEquivalenceFailures, ScannerOutagesWithinOneDwellBitIdentical) {
+  const RunSnapshot engine = run_scanner_outages(true);
+  const RunSnapshot polled = run_scanner_outages(false);
+  EXPECT_EQ(engine.final_asn, polled.final_asn);
+  EXPECT_EQ(engine.eb_sent, polled.eb_sent);
+  EXPECT_EQ(engine.join_times_s, polled.join_times_s);
+  EXPECT_EQ(engine.energy_mj, polled.energy_mj);
+  EXPECT_EQ(engine.result.revivals, polled.result.revivals);
+  EXPECT_GT(engine.result.revivals, 100u);  // the outages actually happened
+}
+
 // Downlink traffic exercises the gateway's cross-node injection: a packet
 // queued into a sleeping access point (from another node's slot or a flow
 // event) must wake it for its dedicated downlink TX cells.

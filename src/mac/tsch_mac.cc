@@ -78,16 +78,8 @@ SlotPlan TschMac::plan_slot(std::uint64_t asn, SimTime /*slot_start*/) {
     // Synchronization": a joining node snoops the channel to capture an EB).
     SlotPlan plan;
     plan.kind = SlotPlan::Kind::kScan;
-    // scan_dwell_pos_ tracks scan_slots_ / dwell incrementally (invariant
-    // restored by reseed_scan_dwell() on every other write), sparing the
-    // per-scanner-per-slot integer division.
-    plan.channel = static_cast<PhysicalChannel>(
-        (scan_channel_start_ + scan_dwell_pos_) % kNumChannels);
+    plan.channel = scan_dwell_ahead(0).channel;
     ++scan_slots_;
-    if (++scan_dwell_rem_ >= scan_dwell_len()) {
-      scan_dwell_rem_ = 0;
-      ++scan_dwell_pos_;
-    }
     return plan;
   }
 
@@ -234,7 +226,6 @@ void TschMac::on_receive(const Frame& frame, double rss_dbm, std::uint64_t asn,
     if (!synced_) {
       synced_ = true;
       scan_slots_ = 0;
-  reseed_scan_dwell();
       sync_deadline_ = now + config_.sync_timeout;
       if (clock_active_) correct_clock(sender_clock_offset_us, now);
       notify_wakeup_changed();
@@ -403,7 +394,6 @@ void TschMac::reset_to_unsynced(SimTime now) {
   backoff_exp_ = config_.backoff_min_exp;
   pending_tx_.reset();
   scan_slots_ = 0;
-  reseed_scan_dwell();
   scan_channel_start_ = static_cast<int>(rng_.uniform_int(kNumChannels));
   keepalive_pending_ = false;
   keepalive_failures_ = 0;
@@ -426,7 +416,6 @@ void TschMac::power_down(SimTime now) {
   backoff_exp_ = config_.backoff_min_exp;
   pending_tx_.reset();
   scan_slots_ = 0;
-  reseed_scan_dwell();
   keepalive_pending_ = false;
   keepalive_failures_ = 0;
   keepalive_due_ = kNeverDeadline;

@@ -94,7 +94,6 @@ void CentralManager::recompute_and_install() {
         std::move(children[v]), now);
   }
   ++installs_;
-  last_install_ = now;
 }
 
 }  // namespace digs

@@ -48,7 +48,6 @@ class CentralManager {
   [[nodiscard]] SimDuration reaction_time() const;
 
   [[nodiscard]] std::uint64_t installs() const { return installs_; }
-  [[nodiscard]] SimTime last_install() const { return last_install_; }
 
  private:
   /// Builds the alive-topology snapshot, computes routes, installs them.
@@ -59,7 +58,6 @@ class CentralManager {
   ManagerReactionModel model_;
   EventHandle pending_;
   std::uint64_t installs_{0};
-  SimTime last_install_{-1};
 };
 
 }  // namespace digs

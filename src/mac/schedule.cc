@@ -12,16 +12,15 @@ void Schedule::install(Slotframe frame) {
   // inner vector's capacity, sparing a free+realloc of every occupied
   // offset on each reinstall.
   if (entry.by_offset.size() == frame.length) {
-    // Only the previously occupied offsets hold cells; the rest are
-    // already empty.
-    for (const std::uint16_t offset : entry.occupied_offsets) {
-      entry.by_offset[offset].clear();
+    // Only the offsets of the previous frame's cells hold anything; the
+    // rest are already empty.
+    for (const Cell& cell : entry.frame.cells) {
+      entry.by_offset[cell.slot_offset % frame.length].clear();
     }
   } else {
     for (auto& cells : entry.by_offset) cells.clear();
     entry.by_offset.resize(frame.length);
   }
-  entry.occupied_offsets.clear();
   entry.listen_offsets.clear();
   entry.tx_offsets.clear();
   for (const Cell& cell : frame.cells) {
@@ -36,7 +35,6 @@ void Schedule::install(Slotframe frame) {
   for (std::uint16_t offset = 0; offset < frame.length; ++offset) {
     const auto& cells = entry.by_offset[offset];
     if (cells.empty()) continue;
-    entry.occupied_offsets.push_back(offset);
     const bool listens =
         routing ||
         std::any_of(cells.begin(), cells.end(), [](const Cell& cell) {
@@ -61,7 +59,6 @@ void Schedule::remove(TrafficClass traffic) {
   entry.frame = {};
   entry.last_asn = kNeverOccupied;
   entry.by_offset.clear();
-  entry.occupied_offsets.clear();
   entry.listen_offsets.clear();
   entry.tx_offsets.clear();
   notify_occupancy_changed();
@@ -111,22 +108,6 @@ std::uint64_t Schedule::next_in(std::span<const std::uint16_t> offsets,
   if (it != offsets.end()) return from + (*it - rem);
   // Wrap to the first occupied offset of the next cycle.
   return from + (length - rem) + offsets.front();
-}
-
-std::uint64_t Schedule::next_occupied_asn(std::uint64_t from,
-                                          bool app_tx_idle) const {
-  std::uint64_t next = kNeverOccupied;
-  for (int t = 0; t < kNumTrafficClasses; ++t) {
-    const Entry& entry = entries_[t];
-    if (!entry.present) continue;
-    const bool exclude_tx_only =
-        app_tx_idle && static_cast<TrafficClass>(t) ==
-                           TrafficClass::kApplication;
-    const auto& offsets =
-        exclude_tx_only ? entry.listen_offsets : entry.occupied_offsets;
-    next = std::min(next, next_in(offsets, entry.frame.length, from));
-  }
-  return next;
 }
 
 std::uint64_t Schedule::next_tx_asn(std::uint64_t from, bool routing_pending,

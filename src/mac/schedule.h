@@ -5,13 +5,14 @@
 // cells are skipped.
 //
 // Because slot occupancy is statically derivable from the installed cells,
-// the schedule can answer "when is this node next possibly active?" — the
-// query the slot engine uses to skip idle slots entirely. Each slotframe
-// keeps two sorted offset tables: every offset holding any cell, and the
-// offsets holding at least one cell that listens unconditionally (RX or
-// shared). Dedicated TX cells only cause radio activity when a matching
-// packet is queued, so a query may exclude TX-only application offsets when
-// the caller knows the queue is empty.
+// the schedule can answer "when can this node next transmit?" and "where
+// does it listen?" — the queries the slot engine uses to skip idle slots
+// entirely. Each slotframe keeps two sorted offset tables: the offsets
+// holding at least one cell that can transmit (TX or shared), and those
+// holding at least one cell that listens unconditionally (RX or shared).
+// Routing and application TX cells only put a frame on the air when a
+// matching packet is queued, so the TX query counts them only when the
+// caller says the queue is non-empty.
 #pragma once
 
 #include <array>
@@ -58,17 +59,6 @@ class Schedule {
   /// Total number of installed cells across classes.
   [[nodiscard]] std::size_t total_cells() const;
 
-  /// Smallest ASN >= `from` at which any installed slotframe has a cell that
-  /// can require radio activity, merging all three prioritized slotframes;
-  /// kNeverOccupied if the schedule is empty. When `app_tx_idle` is true the
-  /// caller asserts it has no queued application traffic, so application
-  /// slots holding only dedicated TX cells are exact sleeps and excluded;
-  /// RX/shared cells listen unconditionally and always count. Sync and
-  /// routing offsets are always included (EBs transmit unconditionally and
-  /// shared routing slots are listen-by-default).
-  [[nodiscard]] std::uint64_t next_occupied_asn(std::uint64_t from,
-                                                bool app_tx_idle) const;
-
   /// Smallest ASN >= `from` at which this schedule can put a frame on the
   /// air. Sync TX/shared offsets always count (EB cells transmit whenever
   /// the node may beacon); routing and application offsets count only when
@@ -98,7 +88,7 @@ class Schedule {
       std::uint64_t from);
 
   /// Registers a listener invoked after every install/remove — i.e.
-  /// whenever the answer of next_occupied_asn may have changed. The slot
+  /// whenever next_tx_asn or listen_offsets may have changed. The slot
   /// engine uses this to re-arm its wakeup heap when schedulers rebuild
   /// slotframes outside the slot loop (Trickle events, manager installs).
   void set_occupancy_listener(std::function<void()> listener) {
@@ -133,8 +123,6 @@ class Schedule {
 
     // cells bucketed by slot offset for O(1) lookup.
     std::vector<std::vector<Cell>> by_offset;
-    // Sorted unique slot offsets holding any cell.
-    std::vector<std::uint16_t> occupied_offsets;
     // Sorted unique slot offsets holding >= 1 cell that listens
     // unconditionally (kRx or kShared; every occupied offset for the
     // routing class, which is listen-by-default).

@@ -34,11 +34,6 @@ inline constexpr int kNumTrafficClasses = 3;
   return "?";
 }
 
-/// Higher priority == smaller underlying value.
-[[nodiscard]] constexpr bool higher_priority(TrafficClass a, TrafficClass b) {
-  return static_cast<int>(a) < static_cast<int>(b);
-}
-
 enum class CellOption : std::uint8_t {
   kTx,        // dedicated transmit cell
   kRx,        // dedicated receive cell

@@ -271,10 +271,6 @@ class Medium {
 
   [[nodiscard]] const MediumConfig& config() const { return config_; }
   [[nodiscard]] const Propagation& propagation() const { return propagation_; }
-  [[nodiscard]] const std::vector<Jammer>& jammers() const { return jammers_; }
-  [[nodiscard]] const std::vector<ReactiveJammer>& reactive_jammers() const {
-    return reactive_jammers_;
-  }
 
  private:
   [[nodiscard]] const PrrTable& table_for(int frame_bytes) const;

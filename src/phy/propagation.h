@@ -108,9 +108,7 @@ class Propagation {
   }
 
   /// fading_from_tail() with the (key, tail) mix already folded in: the
-  /// draw is a pure function of this one 64-bit hash. That purity is what
-  /// makes SlotReception's draw memo exact — equal hashes give equal draws
-  /// by construction, so a full-hash-keyed cache can never change a double.
+  /// draw is a pure function of this one 64-bit hash.
   [[nodiscard]] double fading_from_hash(std::uint64_t h) const {
     // Truncated at kFadingNormalBound sigma so the margin in
     // max_fading_db() is a hard guarantee (see the constant's comment).

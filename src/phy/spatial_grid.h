@@ -52,12 +52,6 @@ class SpatialGrid {
     return static_cast<std::uint32_t>(cell_y_[i]) * cols_ + cell_x_[i];
   }
 
-  /// Node ids in cell `cell`, ascending.
-  [[nodiscard]] const std::vector<std::uint16_t>& cell_nodes(
-      std::uint32_t cell) const {
-    return cells_[cell];
-  }
-
   /// True when `a` and `b` are within one cell step in both axes (or the
   /// filter is inactive). This is the model's coupling cutoff.
   [[nodiscard]] bool coupled(std::uint16_t a, std::uint16_t b) const {

@@ -55,9 +55,6 @@ class DistanceVectorRouting : public RoutingProtocol {
   [[nodiscard]] ConfirmedRole best_parent_confirmed() const override {
     return bp_confirmed_;
   }
-  [[nodiscard]] ConfirmedRole second_best_parent_confirmed() const override {
-    return sbp_confirmed_;
-  }
   [[nodiscard]] std::uint16_t rank() const override { return rank_; }
   [[nodiscard]] double advertised_cost() const override { return cost_; }
   [[nodiscard]] std::span<const ChildEntry> children() const override {

@@ -107,14 +107,10 @@ class RoutingProtocol {
 
   [[nodiscard]] virtual NodeId best_parent() const = 0;
   [[nodiscard]] virtual NodeId second_best_parent() const = 0;
-  /// Roles the current parents have acknowledged (see ConfirmedRole).
+  /// Role the best parent has acknowledged (see ConfirmedRole).
   [[nodiscard]] virtual ConfirmedRole best_parent_confirmed() const {
     return best_parent().valid() ? ConfirmedRole::kPrimary
                                  : ConfirmedRole::kNone;
-  }
-  [[nodiscard]] virtual ConfirmedRole second_best_parent_confirmed() const {
-    return second_best_parent().valid() ? ConfirmedRole::kBackup
-                                        : ConfirmedRole::kNone;
   }
   [[nodiscard]] virtual std::uint16_t rank() const = 0;
   /// Path cost advertised in join-in messages (ETXw for DiGS, accumulated

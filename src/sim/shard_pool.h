@@ -50,8 +50,6 @@ class ShardPool {
   /// out-of-work time to prof::kWorkerIdle.
   void run(std::size_t tasks, const std::function<void(std::size_t)>& fn);
 
-  [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
-
  private:
   void worker_loop();
 

@@ -82,8 +82,6 @@ class PlantWorkload {
 
   [[nodiscard]] PlantMetrics harvest(SimTime from, SimTime to) const;
 
-  [[nodiscard]] std::size_t num_loops() const { return loops_.size(); }
-
  private:
   struct Actuation {
     double u{0};

@@ -285,18 +285,22 @@ TEST(JammerMaskTest, PaperScaleMatchesUnmaskedSum) {
   config.propagation.path_loss_exponent = layout.path_loss_exponent;
   Medium medium(config, layout.positions, 77);
   medium.build_reachability(layout.tx_power_dbm);
+  // The reference set: the same constant jammers, built outside the medium
+  // (a constant jammer's activity and power do not depend on its seed).
+  std::vector<Jammer> jammers;
   for (std::size_t j = 0; j < layout.jammer_positions.size(); ++j) {
     JammerConfig jammer;
     jammer.position = layout.jammer_positions[j];
     jammer.tx_power_dbm = -4.0;
     jammer.pattern = JammerPattern::kConstant;
     medium.add_jammer(jammer);
+    jammers.emplace_back(jammer, j);
   }
   const auto& prop = config.propagation;
   for (std::uint16_t i = 0; i < layout.num_nodes(); ++i) {
     const NodeId rx{i};
     double expected = 0.0;
-    for (const Jammer& jammer : medium.jammers()) {
+    for (const Jammer& jammer : jammers) {
       if (!jammer.active(0, 17, SimTime{0})) continue;
       expected += jammer.received_power_mw(
           medium.position(rx), prop.path_loss_ref_db,

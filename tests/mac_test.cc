@@ -136,17 +136,29 @@ Slotframe make_rx_slotframe(TrafficClass traffic, std::uint16_t length,
 
 TEST(ScheduleOccupancyTest, EmptyScheduleNeverOccupied) {
   Schedule schedule;
-  EXPECT_EQ(schedule.next_occupied_asn(0, false), kNeverOccupied);
-  EXPECT_EQ(schedule.next_occupied_asn(12345, true), kNeverOccupied);
+  EXPECT_EQ(schedule.next_tx_asn(0, true, true), kNeverOccupied);
+  EXPECT_EQ(schedule.next_tx_asn(12345, false, false), kNeverOccupied);
+  EXPECT_TRUE(schedule.listen_offsets(TrafficClass::kSync).empty());
+  EXPECT_EQ(schedule.frame_length(TrafficClass::kSync), 0u);
+  EXPECT_EQ(Schedule::next_in({}, 7, 0), kNeverOccupied);
+  const std::vector<std::uint16_t> offsets{3};
+  EXPECT_EQ(Schedule::next_in(offsets, 0, 0), kNeverOccupied);
 }
 
 TEST(ScheduleOccupancyTest, SingleCellAdvancesAndWraps) {
   Schedule schedule;
   schedule.install(make_slotframe(TrafficClass::kSync, 7, {3}));
-  EXPECT_EQ(schedule.next_occupied_asn(0, false), 3u);
-  EXPECT_EQ(schedule.next_occupied_asn(3, false), 3u);  // inclusive
-  EXPECT_EQ(schedule.next_occupied_asn(4, false), 10u);  // wraps
-  EXPECT_EQ(schedule.next_occupied_asn(700, false), 703u);
+  EXPECT_EQ(schedule.next_tx_asn(0, false, false), 3u);
+  EXPECT_EQ(schedule.next_tx_asn(3, false, false), 3u);   // inclusive
+  EXPECT_EQ(schedule.next_tx_asn(4, false, false), 10u);  // wraps
+  EXPECT_EQ(schedule.next_tx_asn(700, false, false), 703u);
+  schedule.install(make_rx_slotframe(TrafficClass::kSync, 7, {3}));
+  const auto listens = schedule.listen_offsets(TrafficClass::kSync);
+  ASSERT_EQ(listens.size(), 1u);
+  EXPECT_EQ(listens[0], 3u);
+  EXPECT_EQ(Schedule::next_in(listens, 7, 3), 3u);   // inclusive
+  EXPECT_EQ(Schedule::next_in(listens, 7, 4), 10u);  // wraps
+  EXPECT_EQ(Schedule::next_in(listens, 7, 700), 703u);
 }
 
 TEST(ScheduleOccupancyTest, MergesAllSlotframes) {
@@ -154,13 +166,16 @@ TEST(ScheduleOccupancyTest, MergesAllSlotframes) {
   schedule.install(make_slotframe(TrafficClass::kSync, 61, {50}));
   schedule.install(make_slotframe(TrafficClass::kRouting, 11, {4}));
   // From 0: routing offset 4 comes before sync offset 50.
-  EXPECT_EQ(schedule.next_occupied_asn(0, false), 4u);
-  EXPECT_EQ(schedule.next_occupied_asn(5, false), 15u);  // next routing hit
-  // Exhaustive cross-check over a hyperperiod: the query must equal the
-  // first asn with non-empty active_cells.
+  EXPECT_EQ(schedule.next_tx_asn(0, true, false), 4u);
+  EXPECT_EQ(schedule.next_tx_asn(5, true, false), 15u);  // next routing hit
+  // An empty routing queue leaves only the EB cell.
+  EXPECT_EQ(schedule.next_tx_asn(0, false, false), 50u);
+  // Exhaustive cross-check over a hyperperiod: with every cell able to
+  // transmit, the query must equal the first asn with non-empty
+  // active_cells.
   std::uint64_t asn = 0;
   for (int hops = 0; hops < 100; ++hops) {
-    const std::uint64_t next = schedule.next_occupied_asn(asn, false);
+    const std::uint64_t next = schedule.next_tx_asn(asn, true, false);
     for (std::uint64_t a = asn; a < next; ++a) {
       EXPECT_TRUE(schedule.active_cells(a).empty()) << "asn " << a;
     }
@@ -173,23 +188,31 @@ TEST(ScheduleOccupancyTest, AppTxOnlySlotsSkippedWhenQueueIdle) {
   Schedule schedule;
   schedule.install(make_slotframe(TrafficClass::kApplication, 7, {2}));
   schedule.install(make_rx_slotframe(TrafficClass::kSync, 61, {9}));
-  // Queue idle: the dedicated TX cell at offset 2 cannot cause activity.
-  EXPECT_EQ(schedule.next_occupied_asn(0, true), 9u);
+  // Queue idle: the dedicated TX cell at offset 2 cannot put a frame on the
+  // air, and the RX-only sync frame never transmits.
+  EXPECT_EQ(schedule.next_tx_asn(0, true, false), kNeverOccupied);
   // Queue non-empty: the TX cell counts again.
-  EXPECT_EQ(schedule.next_occupied_asn(0, false), 2u);
-  // RX cells listen unconditionally and are never skipped.
-  Slotframe app_rx = make_rx_slotframe(TrafficClass::kApplication, 7, {5});
-  app_rx.cells.front().option = CellOption::kRx;
-  schedule.install(app_rx);  // replaces the TX-only app frame
-  EXPECT_EQ(schedule.next_occupied_asn(0, true), 5u);
+  EXPECT_EQ(schedule.next_tx_asn(0, false, true), 2u);
+  // A TX cell is no listen; the sync RX cell listens unconditionally.
+  EXPECT_TRUE(schedule.listen_offsets(TrafficClass::kApplication).empty());
+  ASSERT_EQ(schedule.listen_offsets(TrafficClass::kSync).size(), 1u);
+  EXPECT_EQ(schedule.listen_offsets(TrafficClass::kSync)[0], 9u);
+  // An RX cell listens whatever the queue holds, and never transmits.
+  schedule.install(make_rx_slotframe(TrafficClass::kApplication, 7, {5}));
+  EXPECT_EQ(schedule.next_tx_asn(0, false, true), kNeverOccupied);
+  EXPECT_EQ(Schedule::next_in(schedule.listen_offsets(
+                                  TrafficClass::kApplication),
+                              schedule.frame_length(TrafficClass::kApplication),
+                              0),
+            5u);
 }
 
 TEST(ScheduleOccupancyTest, SyncTxCellsNeverSkipped) {
   // EB transmissions do not depend on any queue; sync TX offsets count
-  // even when the caller reports an idle application queue.
+  // even when the caller reports both queues empty.
   Schedule schedule;
   schedule.install(make_slotframe(TrafficClass::kSync, 61, {8}));
-  EXPECT_EQ(schedule.next_occupied_asn(0, true), 8u);
+  EXPECT_EQ(schedule.next_tx_asn(0, false, false), 8u);
 }
 
 TEST(ScheduleOccupancyTest, ListenerFiresOnInstallAndRemove) {
@@ -202,7 +225,8 @@ TEST(ScheduleOccupancyTest, ListenerFiresOnInstallAndRemove) {
   EXPECT_EQ(notified, 2);
   schedule.remove(TrafficClass::kSync);
   EXPECT_EQ(notified, 3);
-  EXPECT_EQ(schedule.next_occupied_asn(0, false), 4u);
+  EXPECT_EQ(schedule.next_tx_asn(0, true, false), 4u);
+  EXPECT_EQ(schedule.next_tx_asn(0, false, false), kNeverOccupied);
 }
 
 TEST(ScheduleTest, ReinstallReplaces) {

@@ -34,11 +34,7 @@ Node::Node(Simulator& sim, NodeId id, bool is_access_point,
                    },
                .on_data_dropped =
                    [this](const DataPayload& payload, DropReason reason,
-                          SimTime now) {
-                     if (hooks_.on_data_lost) {
-                       hooks_.on_data_lost(id_, payload, reason, now);
-                     }
-                   },
+                          SimTime now) { lose(payload, reason, now); },
                .on_wakeup_changed =
                    [this]() {
                      if (hooks_.on_wakeup_changed) {
@@ -135,9 +131,7 @@ void Node::generate_packet(FlowId flow, std::uint32_t seq, SimTime now,
       // Gateway-originated command: the backbone injects it at whichever
       // access point holds the freshest route to the destination.
       if (hooks_.gateway_route && hooks_.gateway_route(payload, now)) return;
-      if (hooks_.on_data_lost) {
-        hooks_.on_data_lost(id_, payload, DropReason::kNoRoute, now);
-      }
+      lose(payload, DropReason::kNoRoute, now);
       return;
     }
     down = routing_->next_hop_down(final_dst);
@@ -204,9 +198,7 @@ void Node::on_frame(const Frame& frame, double rss_dbm, SimTime now) {
         // never counts it against PDR because the pair already delivered
         // (or still can deliver via the surviving copy).
         if (seen_.seen_or_insert(payload.flow, payload.seq)) {
-          if (hooks_.on_data_lost) {
-            hooks_.on_data_lost(id_, payload, DropReason::kDuplicate, now);
-          }
+          lose(payload, DropReason::kDuplicate, now);
           break;
         }
         if (payload.final_dst == id_) {
@@ -217,18 +209,14 @@ void Node::on_frame(const Frame& frame, double rss_dbm, SimTime now) {
         }
         ++payload.hops;
         if (payload.hops > config_.mac.max_hops) {
-          if (hooks_.on_data_lost) {
-            hooks_.on_data_lost(id_, payload, DropReason::kHopLimit, now);
-          }
+          lose(payload, DropReason::kHopLimit, now);
           break;
         }
         // Advance the route stack: we must be the hop the copy is addressed
         // to; anything else is a stale route (re-derived mid-flight).
         const std::size_t pos = payload.route_hop;
         if (pos + 1 >= payload.route.size() || payload.route[pos] != id_) {
-          if (hooks_.on_data_lost) {
-            hooks_.on_data_lost(id_, payload, DropReason::kStaleRoute, now);
-          }
+          lose(payload, DropReason::kStaleRoute, now);
           break;
         }
         ++payload.route_hop;
@@ -248,9 +236,7 @@ void Node::on_frame(const Frame& frame, double rss_dbm, SimTime now) {
       }
       ++payload.hops;
       if (payload.hops > config_.mac.max_hops) {
-        if (hooks_.on_data_lost) {
-          hooks_.on_data_lost(id_, payload, DropReason::kHopLimit, now);
-        }
+        lose(payload, DropReason::kHopLimit, now);
         break;
       }
       // Common-ancestor forwarding: descend as soon as the destination is
@@ -265,9 +251,7 @@ void Node::on_frame(const Frame& frame, double rss_dbm, SimTime now) {
             if (hooks_.gateway_route && hooks_.gateway_route(payload, now)) {
               break;
             }
-            if (hooks_.on_data_lost) {
-              hooks_.on_data_lost(id_, payload, DropReason::kNoRoute, now);
-            }
+            lose(payload, DropReason::kNoRoute, now);
             break;
           }
           // A packet that was DESCENDING reached us through a stale table
@@ -278,9 +262,7 @@ void Node::on_frame(const Frame& frame, double rss_dbm, SimTime now) {
               frame.src == routing_->best_parent() ||
               frame.src == routing_->second_best_parent();
           if (descending) {
-            if (hooks_.on_data_lost) {
-              hooks_.on_data_lost(id_, payload, DropReason::kStaleRoute, now);
-            }
+            lose(payload, DropReason::kStaleRoute, now);
             break;
           }
           // Ascending with no route yet: keep climbing (down stays
@@ -293,6 +275,10 @@ void Node::on_frame(const Frame& frame, double rss_dbm, SimTime now) {
     default:
       break;
   }
+}
+
+void Node::lose(const DataPayload& payload, DropReason reason, SimTime now) {
+  if (hooks_.on_data_lost) hooks_.on_data_lost(id_, payload, reason, now);
 }
 
 void Node::on_tx_result(NodeId peer, FrameType type, bool acked,

@@ -32,8 +32,10 @@ enum Phase : int {
   kWakePop = 0,     // wake-heap drain + participant/listener set build
   kPlanGather,      // settle + plan_slot over participants + attempt gather
   kBucketBuild,     // per-cell attempt bucket construction
-  kBeginListener,   // candidate gather + RSS/mW accumulators (1 shard)
-  kDecode,          // per-candidate decode checks + draws (1 shard)
+  kBeginListener,   // reception walk: rows + RSS/mW totals (1 shard; one
+                    // lap per busy slot)
+  kDecode,          // kept-pair SINR/PRR + draws (1 shard; one lap per
+                    // busy slot)
   kShardResolve,    // sharded reception fan-out + barrier (>1 shard; holds
                     // that run's begin_listener and decode time)
   kMergeCompact,    // listener-order compaction of per-shard results

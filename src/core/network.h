@@ -35,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "core/central_manager.h"
 #include "core/node.h"
 #include "core/wake_heap.h"
+#include "phy/cell_index.h"
 #include "phy/medium.h"
 #include "phy/reception.h"
 #include "routing/tunnel.h"
@@ -324,24 +324,15 @@ class Network {
                     const std::vector<std::uint16_t>& participants,
                     std::uint64_t* prof_mark = nullptr);
 
-  /// Reception resolution for one busy slot: fills rx_result_ (one slot per
-  /// listener) and compacts it into receptions_ in listener order — the
-  /// deterministic merge that makes N-shard output bit-identical to one
-  /// list. Fans out over num_shards_ lists; shards only read shared slot
-  /// state and write disjoint rx_result_ entries and their own
-  /// SlotReception scratch.
+  /// Reception resolution for one busy slot: each of num_shards_ lists
+  /// runs reception_'s walk and decode for the listeners its shard owns,
+  /// filling their rx_result_ entries; the serial loop after the barrier
+  /// compacts rx_result_ into receptions_ in listener order and sums the
+  /// guard misses, so N-shard output is bit-identical to one list. Shards
+  /// only read shared slot state and write their owned rx_result_ entries
+  /// and their own walk scratch.
   void resolve_receptions(std::uint64_t asn, SimTime slot_start,
                           std::uint64_t* prof_mark = nullptr);
-  /// The per-listener decode loop (exact legacy arithmetic), driven by the
-  /// SlotReception's cell-gathered candidate list, writing the winning
-  /// attempt to rx_result_[li] and counting guard misses into
-  /// `guard_misses` (per-shard counter, summed after the barrier).
-  /// `prof_mark`, when non-null, chains the begin_listener/decode phase
-  /// timestamps (one shard only; shard workers are timed wholesale).
-  void resolve_listener(SlotReception& reception, std::size_t li,
-                        std::uint64_t slot_draw_seed,
-                        std::uint64_t& guard_misses,
-                        std::uint64_t* prof_mark = nullptr);
   /// Partitions nodes into num_shards_ shards: by grid cell when the
   /// spatial grid is active (keeps a shard's listeners cache-adjacent),
   /// round-robin otherwise. Assignment affects load balance only — never
@@ -436,8 +427,8 @@ class Network {
   /// on-air attempt on their scan channel is coupled to, and merges them by
   /// id into listeners_ and, with `participants`, into slot_members_.
   /// Returns false, touching nothing, when no scanner is near a frame. A
-  /// left-out scanner's candidate list would be empty, so its slot is
-  /// exactly the full-slot scan listen settle_node_to() charges.
+  /// left-out scanner would hear nothing, so its slot is exactly the
+  /// full-slot scan listen settle_node_to() charges.
   bool add_near_scanners(std::uint64_t asn, SimTime slot_start,
                          const std::vector<std::uint16_t>& participants);
 
@@ -609,24 +600,16 @@ class Network {
     NodeId sender;
     SlotPlan plan;
   };
-  struct SlotListener {
-    NodeId id;
-    PhysicalChannel channel;
-    /// Listener's clock offset at slot start and its guard window for the
-    /// guard-miss model. Every RX-cell listener opens the guard; the
-    /// defaults (0, infinite) keep scan slots guard-exempt, since they
-    /// listen the whole slot.
-    double clock_offset_us{0.0};
-    double guard_us{std::numeric_limits<double>::infinity()};
-  };
   struct SlotRx {
     NodeId receiver;
     std::size_t tx_index;
     double rss_dbm;
   };
   std::vector<PlannedTx> transmitters_;
-  std::vector<SlotListener> listeners_;
-  std::vector<SlotListener> listener_scratch_;  // merge double buffer
+  // Every RX-cell listener opens the guard window; scan listeners keep the
+  // guard-exempt defaults, since they listen the whole slot.
+  std::vector<SlotReception::Listener> listeners_;
+  std::vector<SlotReception::Listener> listener_scratch_;  // merge buffer
   std::vector<TransmissionAttempt> on_air_;
   std::vector<SlotRx> receptions_;
   std::vector<std::uint8_t> frame_acked_;
@@ -634,15 +617,7 @@ class Network {
   std::vector<TransmissionAttempt> ack_on_air_;
   // Per-listener resolution result, written by exactly one shard each and
   // compacted into receptions_ in listener order after the barrier.
-  struct RxResult {
-    std::int32_t tx_index{-1};
-    double rss_dbm{-1e9};
-  };
-  std::vector<RxResult> rx_result_;
-  // One O(L*T_local) per-slot resolver per shard (each holds per-listener
-  // scratch, so shards never share mutable state). One list uses [0].
-  std::vector<SlotReception> shard_reception_;
-  std::vector<std::uint64_t> shard_guard_misses_;
+  std::vector<SlotReception::Outcome> rx_result_;
   // --- sharded-region arenas, sized once and reused across slots ---
   // Per-shard work lists, rebuilt serially each sharded slot in
   // O(P)/O(L)/O(T)/O(R) total: participant ranks, listener indices,
@@ -660,12 +635,14 @@ class Network {
   std::vector<Simulator::DeferBuffer> defer_bufs_;
   // Cumulative per-shard busy ns across regions (profiler on only).
   std::vector<std::uint64_t> shard_busy_ns_;
-  // Per-slot attempt buckets by grid cell, built once per busy slot right
-  // after the gather and shared read-only by the scanner selection and
-  // every shard's resolver; ack_cells_ is the same index over the slot's
-  // ACK attempts for the reverse-link resolution.
+  // Per-slot attempt buckets by grid cell, built in busy slots while
+  // scanners exist, for the scanner selection; ack_cells_ is the same index
+  // over the slot's ACK attempts for the reverse-link resolution.
   CellAttemptIndex cell_index_;
   CellAttemptIndex ack_cells_;
+  // The busy-slot reception walk, with one scratch per shard (one list
+  // uses shard 0's).
+  SlotReception reception_;
 };
 
 }  // namespace digs

@@ -1,18 +1,17 @@
 // Per-slot spatial index over the frames on the air.
 //
-// A busy slot's TransmissionAttempts are bucketed by the sender's grid cell
-// once, and every listener then visits only the buckets of its 3×3 cell
-// neighborhood. Under the SpatialGrid coupling cutoff an attempt outside
-// that neighborhood contributes exactly 0.0 mW and never decodes, so the
-// bucket walk is bit-identical to the full scan by construction — it skips
-// only terms the reference path skips too (reception_pipeline_test pins
-// this). The win is asymptotic: listener resolution drops from O(L·T) to
-// O(L·T_local), which is what keeps city-scale slots flat as the deployment
-// grows.
+// A slot's TransmissionAttempts are bucketed by the sender's grid cell once,
+// and a receiver then visits only the buckets of its 3×3 cell neighborhood.
+// Under the SpatialGrid coupling cutoff an attempt outside that
+// neighborhood contributes exactly 0.0 mW and never decodes, so the bucket
+// walk is bit-identical to the full scan by construction — it skips only
+// terms the full scan skips too.
 //
-// One index is built per slot (by Network, shared read-only across shards;
-// SlotReception builds its own when used standalone) and reused by the data
-// path, the ACK path, and Medium's reference interference walk.
+// Network builds one index over a busy slot's data frames while scanners
+// exist, for the scanner selection (empty_near()), and one over the slot's
+// ACKs, which Medium::interference_mw() walks through gather() on the ACK
+// path. Data receptions do not use it: SlotReception reads each sender's
+// row instead.
 #pragma once
 
 #include <cstdint>

@@ -353,8 +353,8 @@ Medium::ReceptionCheck Medium::check_reception(
   if (tx.sender == rx) return {};
   // Beyond the grid coupling cutoff nothing arrives at all — no preamble,
   // no guard-miss accounting, no interference from this frame here. The
-  // per-slot resolver applies the identical cutoff (its cell-gathered
-  // candidate list), so both paths return the same empty outcome.
+  // per-slot walk applies the identical cutoff (a sender's row names only
+  // its coupled nodes), so both paths return the same empty outcome.
   if (!coupled(tx.sender, rx)) return {};
   const double signal_dbm =
       rss_dbm(tx.sender, rx, tx.channel, slot, tx.tx_power_dbm);

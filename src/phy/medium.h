@@ -18,7 +18,8 @@
 // dense and indexed by node id. Pairs outside a node's neighborhood are
 // uncoupled by model definition — no decode, no interference — applied
 // identically in this reference path and in the per-slot SlotReception
-// resolver, so the cutoff is shard-invariant.
+// walk, which reads a sender's row to find the listeners its frame reaches
+// (the rows are symmetric), so the cutoff is shard-invariant.
 #pragma once
 
 #include <algorithm>
@@ -230,8 +231,11 @@ class Medium {
   /// Listener `rx`'s row at the primed power: `cols` lists every node
   /// grid-coupled to `rx` (itself included) in ascending id order,
   /// `means[ch * len + i]` is the exact mean_rss_dbm(cols[i], rx, ch, power)
-  /// double and `keys[i]` the pair's link key. `len == 0` when `power`
-  /// differs from the primed power or no reachability index was built.
+  /// double and `keys[i]` the pair's link key. Rows are symmetric: row a's
+  /// entry for b holds the same key and means as row b's entry for a, so a
+  /// sender's row serves every listener it names. `len == 0` when `power`
+  /// differs from the primed power, `rx` is outside the layout or no
+  /// reachability index was built.
   struct LinkRow {
     const std::uint16_t* cols{nullptr};
     const double* means{nullptr};
@@ -241,14 +245,10 @@ class Medium {
     /// Index of transmitter `tx` in `cols`, or `len` when the row lacks it.
     /// `cols` is strictly ascending, so cols[i] >= i and cols[tx] == tx
     /// holds only at tx's own entry: that probe answers every lookup in a
-    /// row spanning all nodes. Otherwise a binary search runs, starting at
-    /// `from` (the caller's previous hit) when the entry lies past it.
-    [[nodiscard]] std::uint32_t find(std::uint16_t tx,
-                                     std::uint32_t from = 0) const {
+    /// row spanning all nodes. Otherwise a binary search runs.
+    [[nodiscard]] std::uint32_t find(std::uint16_t tx) const {
       if (tx < len && cols[tx] == tx) return tx;
-      const std::uint16_t* first =
-          from < len && cols[from] < tx ? cols + from : cols;
-      const std::uint16_t* it = std::lower_bound(first, cols + len, tx);
+      const std::uint16_t* it = std::lower_bound(cols, cols + len, tx);
       return it != cols + len && *it == tx
                  ? static_cast<std::uint32_t>(it - cols)
                  : len;

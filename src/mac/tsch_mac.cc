@@ -211,9 +211,8 @@ SlotPlan TschMac::plan_application(std::span<const Cell> cells,
   return SlotPlan{};  // nothing to do: sleep
 }
 
-void TschMac::on_receive(const Frame& frame, double rss_dbm, std::uint64_t asn,
-                         SimTime now, double sender_clock_offset_us) {
-  (void)asn;
+void TschMac::on_receive(const Frame& frame, double rss_dbm, SimTime now,
+                         double sender_clock_offset_us) {
   if (frame.type == FrameType::kEnhancedBeacon) {
     // Any EB from a synchronized neighbor carries the network time (only
     // routed nodes beacon), so any EB refreshes the sync deadline — the
@@ -242,7 +241,7 @@ void TschMac::on_receive(const Frame& frame, double rss_dbm, std::uint64_t asn,
   if (callbacks_.on_frame) callbacks_.on_frame(frame, rss_dbm, now);
 }
 
-void TschMac::on_tx_outcome(bool acked, std::uint64_t /*asn*/, SimTime now,
+void TschMac::on_tx_outcome(bool acked, SimTime now,
                             double acker_clock_offset_us) {
   if (!pending_tx_.has_value()) return;
   const PendingTx pending = *pending_tx_;
@@ -362,7 +361,7 @@ void TschMac::handle_data_tx_result(bool acked, SimTime now) {
   }
 }
 
-void TschMac::end_slot(std::uint64_t /*asn*/, SimTime now) {
+void TschMac::end_slot(SimTime now) {
   if (!synced_ || is_access_point_) return;
   if (now >= sync_deadline_) {
     reset_to_unsynced(now);

@@ -172,19 +172,19 @@ class TschMac {
   /// `sender_clock_offset_us` is the sender's accumulated clock offset at
   /// the slot start; an EB from the time source adopts it as this node's
   /// new reference (clock correction). 0 whenever drift is disabled.
-  void on_receive(const Frame& frame, double rss_dbm, std::uint64_t asn,
-                  SimTime now, double sender_clock_offset_us = 0.0);
+  void on_receive(const Frame& frame, double rss_dbm, SimTime now,
+                  double sender_clock_offset_us = 0.0);
 
   /// Reports the outcome of this node's own transmission in the current
   /// slot (`acked` is meaningful only when the plan expected an ACK;
   /// broadcasts pass acked=false). An ACK from the time source carries a
   /// clock correction (`acker_clock_offset_us`, the acker's offset at the
   /// slot start), TSCH keep-alive style.
-  void on_tx_outcome(bool acked, std::uint64_t asn, SimTime now,
+  void on_tx_outcome(bool acked, SimTime now,
                      double acker_clock_offset_us = 0.0);
 
   /// End-of-slot housekeeping (sync timeout).
-  void end_slot(std::uint64_t asn, SimTime now);
+  void end_slot(SimTime now);
 
   /// Force-desynchronizes (used when a node is restarted in experiments).
   void reset_to_unsynced(SimTime now);

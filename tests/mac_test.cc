@@ -294,7 +294,7 @@ TEST(TschMacTest, FieldDeviceScansUntilEb) {
   EXPECT_FALSE(harness.mac->synced());
   const SlotPlan plan = harness.mac->plan_slot(0, SimTime{0});
   EXPECT_EQ(plan.kind, SlotPlan::Kind::kScan);
-  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0});
+  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, SimTime{0});
   EXPECT_TRUE(harness.mac->synced());
   EXPECT_EQ(harness.synced_events, 1);
 }
@@ -354,7 +354,7 @@ TEST(TschMacTest, ScanDwellAheadMatchesPlannedChannels) {
 
   // A desync restarts the scan at the top of a dwell on a freshly drawn
   // channel.
-  mac.on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0});
+  mac.on_receive(eb_from(NodeId{0}), -70.0, SimTime{0});
   ASSERT_TRUE(mac.synced());
   mac.reset_to_unsynced(SimTime{100});
   EXPECT_EQ(mac.scan_dwell_ahead(0).slots, 7u);
@@ -371,11 +371,11 @@ TEST(TschMacTest, SyncTimeoutDesyncs) {
   MacConfig config;
   config.sync_timeout = seconds(static_cast<std::int64_t>(5));
   MacHarness harness(NodeId{5}, false, config);
-  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0});
+  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, SimTime{0});
   EXPECT_TRUE(harness.mac->synced());
-  harness.mac->end_slot(100, SimTime{0} + seconds(static_cast<std::int64_t>(4)));
+  harness.mac->end_slot(SimTime{0} + seconds(static_cast<std::int64_t>(4)));
   EXPECT_TRUE(harness.mac->synced());
-  harness.mac->end_slot(600, SimTime{0} + seconds(static_cast<std::int64_t>(6)));
+  harness.mac->end_slot(SimTime{0} + seconds(static_cast<std::int64_t>(6)));
   EXPECT_FALSE(harness.mac->synced());
   EXPECT_EQ(harness.desynced_events, 1);
 }
@@ -384,11 +384,11 @@ TEST(TschMacTest, EbFromTimeSourceRefreshesSync) {
   MacConfig config;
   config.sync_timeout = seconds(static_cast<std::int64_t>(5));
   MacHarness harness(NodeId{5}, false, config);
-  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0});
+  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, SimTime{0});
   harness.mac->set_time_source(NodeId{0});
-  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, 400,
+  harness.mac->on_receive(eb_from(NodeId{0}), -70.0,
                           SimTime{0} + seconds(static_cast<std::int64_t>(4)));
-  harness.mac->end_slot(600, SimTime{0} + seconds(static_cast<std::int64_t>(6)));
+  harness.mac->end_slot(SimTime{0} + seconds(static_cast<std::int64_t>(6)));
   EXPECT_TRUE(harness.mac->synced());  // refreshed at t=4s
 }
 
@@ -399,15 +399,14 @@ TEST(TschMacTest, EbFromAnyNeighborRefreshesSync) {
   MacConfig config;
   config.sync_timeout = seconds(static_cast<std::int64_t>(5));
   MacHarness harness(NodeId{5}, false, config);
-  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0});
+  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, SimTime{0});
   harness.mac->set_time_source(NodeId{0});
-  harness.mac->on_receive(eb_from(NodeId{9}), -70.0, 400,
+  harness.mac->on_receive(eb_from(NodeId{9}), -70.0,
                           SimTime{0} + seconds(static_cast<std::int64_t>(4)));
-  harness.mac->end_slot(600, SimTime{0} + seconds(static_cast<std::int64_t>(6)));
+  harness.mac->end_slot(SimTime{0} + seconds(static_cast<std::int64_t>(6)));
   EXPECT_TRUE(harness.mac->synced());
   // And with no EBs at all the timeout still fires.
-  harness.mac->end_slot(1200,
-                        SimTime{0} + seconds(static_cast<std::int64_t>(12)));
+  harness.mac->end_slot(SimTime{0} + seconds(static_cast<std::int64_t>(12)));
   EXPECT_FALSE(harness.mac->synced());
 }
 
@@ -474,7 +473,7 @@ TEST(TschMacTest, AckDequeuesPacket) {
   install_simple_schedule(*harness.mac, NodeId{1});
   harness.mac->enqueue_data(DataPayload{}, SimTime{0});
   (void)harness.mac->plan_slot(1, SimTime{0});
-  harness.mac->on_tx_outcome(true, 1, SimTime{0});
+  harness.mac->on_tx_outcome(true, SimTime{0});
   EXPECT_EQ(harness.mac->app_queue_size(), 0u);
   ASSERT_EQ(harness.tx_results.size(), 1u);
   EXPECT_TRUE(harness.tx_results[0].second);
@@ -493,7 +492,7 @@ TEST(TschMacTest, NoAckRetriesThenDrops) {
     if (plan.kind == SlotPlan::Kind::kTx &&
         plan.frame.type == FrameType::kData) {
       ++attempts;
-      harness.mac->on_tx_outcome(false, asn, SimTime{0});
+      harness.mac->on_tx_outcome(false, SimTime{0});
     }
   }
   EXPECT_EQ(attempts, 4);
@@ -546,7 +545,7 @@ TEST(TschMacTest, SharedSlotTransmitsRoutingFrame) {
   EXPECT_EQ(plan.kind, SlotPlan::Kind::kTx);
   EXPECT_EQ(plan.frame.type, FrameType::kJoinIn);
   // Broadcast: done after one transmission.
-  harness.mac->on_tx_outcome(false, 11, SimTime{0});
+  harness.mac->on_tx_outcome(false, SimTime{0});
   EXPECT_EQ(harness.mac->routing_queue_size(), 0u);
 }
 
@@ -570,7 +569,7 @@ TEST(TschMacTest, UnicastRoutingBacksOffAfterFailure) {
   const SlotPlan first = harness.mac->plan_slot(0, SimTime{0});
   ASSERT_EQ(first.kind, SlotPlan::Kind::kTx);
   EXPECT_TRUE(first.expects_ack);
-  harness.mac->on_tx_outcome(false, 0, SimTime{0});
+  harness.mac->on_tx_outcome(false, SimTime{0});
   EXPECT_EQ(harness.mac->routing_queue_size(), 1u);  // retained for retry
 
   int tx_count = 0;
@@ -579,7 +578,7 @@ TEST(TschMacTest, UnicastRoutingBacksOffAfterFailure) {
     const SlotPlan plan = harness.mac->plan_slot(asn, SimTime{0});
     if (plan.kind == SlotPlan::Kind::kTx) {
       ++tx_count;
-      harness.mac->on_tx_outcome(false, asn, SimTime{0});
+      harness.mac->on_tx_outcome(false, SimTime{0});
     }
   }
   // max_routing_transmissions = 8 total; 7 more after the first.
@@ -589,7 +588,7 @@ TEST(TschMacTest, UnicastRoutingBacksOffAfterFailure) {
 
 TEST(TschMacTest, ResetToUnsyncedClearsRoutingState) {
   MacHarness harness(NodeId{5});
-  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0});
+  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, SimTime{0});
   harness.mac->enqueue_routing(
       make_frame(FrameType::kJoinIn, NodeId{5}, kNoNode, JoinInPayload{}));
   harness.mac->reset_to_unsynced(SimTime{100});
@@ -602,7 +601,7 @@ TEST(TschMacTest, UnsyncedIgnoresNonEbFrames) {
   MacHarness harness(NodeId{5});
   harness.mac->on_receive(
       make_frame(FrameType::kJoinIn, NodeId{1}, kNoNode, JoinInPayload{}),
-      -70.0, 0, SimTime{0});
+      -70.0, SimTime{0});
   EXPECT_TRUE(harness.received.empty());
 }
 
@@ -610,7 +609,7 @@ TEST(TschMacTest, UnjoinedNodeDoesNotBeacon) {
   // A synced-but-unrouted field device must not send EBs (joiners would
   // synchronize onto an island).
   MacHarness harness(NodeId{5});
-  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0});
+  harness.mac->on_receive(eb_from(NodeId{0}), -70.0, SimTime{0});
   ASSERT_TRUE(harness.mac->synced());
   Slotframe sync;
   sync.traffic = TrafficClass::kSync;
@@ -629,7 +628,7 @@ TEST(TschMacTest, UnjoinedNodeDoesNotBeacon) {
   TschMac::Callbacks callbacks;
   callbacks.rank_provider = [] { return kInfiniteRank; };
   TschMac unrouted(NodeId{6}, false, MacConfig{}, Rng(1), callbacks);
-  unrouted.on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0});
+  unrouted.on_receive(eb_from(NodeId{0}), -70.0, SimTime{0});
   unrouted.schedule().install(sync);
   EXPECT_NE(unrouted.plan_slot(0, SimTime{0}).kind, SlotPlan::Kind::kTx);
 }
@@ -668,14 +667,14 @@ TEST(TschMacTest, DownlinkAndUplinkPacketsMatchTheirCells) {
   ASSERT_EQ(at1.kind, SlotPlan::Kind::kTx);
   EXPECT_EQ(at1.frame.dst, NodeId{1});
   EXPECT_FALSE(at1.frame.as<DataPayload>().is_downlink());
-  harness.mac->on_tx_outcome(true, 1, SimTime{0});
+  harness.mac->on_tx_outcome(true, SimTime{0});
 
   // Downlink cell carries the command.
   const SlotPlan at2 = harness.mac->plan_slot(2, SimTime{0});
   ASSERT_EQ(at2.kind, SlotPlan::Kind::kTx);
   EXPECT_EQ(at2.frame.dst, NodeId{7});
   EXPECT_TRUE(at2.frame.as<DataPayload>().is_downlink());
-  harness.mac->on_tx_outcome(true, 2, SimTime{0});
+  harness.mac->on_tx_outcome(true, SimTime{0});
   EXPECT_EQ(harness.mac->app_queue_size(), 0u);
 }
 

@@ -189,19 +189,19 @@ TEST(MacClockTest, EbFromTimeSourceAdoptsSenderOffset) {
   SyncMacHarness harness(NodeId{5}, drift_config(40.0));
   TschMac& mac = *harness.mac;
   EXPECT_TRUE(mac.clock_active());
-  mac.on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0}, 0.0);
+  mac.on_receive(eb_from(NodeId{0}), -70.0, SimTime{0}, 0.0);
   mac.set_time_source(NodeId{0});
   ASSERT_TRUE(mac.synced());
 
   const SimTime later = SimTime{0} + seconds(std::int64_t{20});
-  mac.on_receive(eb_from(NodeId{0}, 2000), -70.0, 2000, later, 123.5);
+  mac.on_receive(eb_from(NodeId{0}, 2000), -70.0, later, 123.5);
   EXPECT_EQ(mac.clock_offset_us(later), 123.5);
   EXPECT_GE(mac.clock_corrections(), 2u);  // first sync + this EB
 
   // An EB from a non-source neighbor refreshes sync but must NOT correct.
   const SimTime after = later + seconds(std::int64_t{1});
   const double before = mac.clock_offset_us(after);
-  mac.on_receive(eb_from(NodeId{9}, 2100), -70.0, 2100, after, 999.0);
+  mac.on_receive(eb_from(NodeId{9}, 2100), -70.0, after, 999.0);
   EXPECT_EQ(mac.clock_offset_us(after), before);
 }
 
@@ -226,7 +226,7 @@ TEST(MacClockTest, InjectedJumpShiftsOffsetAndActivatesClock) {
 TEST(MacKeepAliveTest, PollsTimeSourceBeforeDriftBudgetExpires) {
   SyncMacHarness harness(NodeId{5}, drift_config(40.0));
   TschMac& mac = *harness.mac;
-  mac.on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0}, 0.0);
+  mac.on_receive(eb_from(NodeId{0}), -70.0, SimTime{0}, 0.0);
   mac.set_time_source(NodeId{0});
   ASSERT_TRUE(mac.synced());
 
@@ -235,17 +235,17 @@ TEST(MacKeepAliveTest, PollsTimeSourceBeforeDriftBudgetExpires) {
   const SimTime due = mac.drift_deadline();
   EXPECT_EQ(due.us, 13'750'000);
 
-  mac.end_slot(1000, SimTime{0} + seconds(std::int64_t{10}));
+  mac.end_slot(SimTime{0} + seconds(std::int64_t{10}));
   EXPECT_EQ(mac.keepalives_sent(), 0u);
   EXPECT_EQ(mac.routing_queue_size(), 0u);
 
-  mac.end_slot(1400, SimTime{0} + seconds(std::int64_t{14}));
+  mac.end_slot(SimTime{0} + seconds(std::int64_t{14}));
   EXPECT_EQ(mac.keepalives_sent(), 1u);
   EXPECT_EQ(mac.routing_queue_size(), 1u);
 
   // While the poll is pending no duplicate is queued; the deadline the
   // engine must wake for is now the hard resync deadline (27.5 s).
-  mac.end_slot(1500, SimTime{0} + seconds(std::int64_t{15}));
+  mac.end_slot(SimTime{0} + seconds(std::int64_t{15}));
   EXPECT_EQ(mac.keepalives_sent(), 1u);
   EXPECT_EQ(mac.drift_deadline().us, 27'500'000);
 
@@ -253,7 +253,7 @@ TEST(MacKeepAliveTest, PollsTimeSourceBeforeDriftBudgetExpires) {
   // still queued (it will harvest its own ACK correction when it goes
   // out), so the engine-visible deadline stays the hard resync one:
   // 16 s + 27.5 s.
-  mac.on_receive(eb_from(NodeId{0}, 1600), -70.0, 1600,
+  mac.on_receive(eb_from(NodeId{0}, 1600), -70.0,
                  SimTime{0} + seconds(std::int64_t{16}), 0.0);
   EXPECT_EQ(mac.drift_deadline().us, 16'000'000 + 27'500'000);
 }
@@ -263,7 +263,7 @@ TEST(MacKeepAliveTest, RepeatedPollFailureEscalatesToDesync) {
   config.sync_timeout = seconds(std::int64_t{60});  // KA must fire first
   SyncMacHarness harness(NodeId{5}, config);
   TschMac& mac = *harness.mac;
-  mac.on_receive(eb_from(NodeId{0}), -70.0, 0, SimTime{0}, 0.0);
+  mac.on_receive(eb_from(NodeId{0}), -70.0, SimTime{0}, 0.0);
   mac.set_time_source(NodeId{0});
 
   // One shared routing cell so plan_slot can put the keep-alive on the air.
@@ -288,9 +288,9 @@ TEST(MacKeepAliveTest, RepeatedPollFailureEscalatesToDesync) {
     if (plan.kind == SlotPlan::Kind::kTx &&
         plan.frame.type == FrameType::kKeepAlive) {
       ++ka_tx;
-      mac.on_tx_outcome(false, asn, now);
+      mac.on_tx_outcome(false, now);
     }
-    mac.end_slot(asn, now);
+    mac.end_slot(now);
   }
   EXPECT_FALSE(mac.synced());
   EXPECT_EQ(harness.desynced_events, 1);

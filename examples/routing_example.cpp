@@ -114,7 +114,9 @@ int main() {
     if (!id.valid()) return "-";
     if (id.value == 0) return "AP1";
     if (id.value == 1) return "AP2";
-    return "#" + std::to_string(id.value);
+    std::string label = "#";
+    label += std::to_string(id.value);
+    return label;
   };
   for (const std::uint16_t id : {3, 4, 5, 6}) {
     const auto& routing = *nodes[id].routing;

@@ -9,7 +9,10 @@ parent's median with its quartiles, the change's median, the per-pair
 median of change/parent, and in how many pairs the change was better
 (direction from BENCHMARK.json). A metric whose median moved by less than
 the parent's interquartile range is marked unresolved: the host's own
-spread is wider than the change.
+spread is wider than the change. Last, one claim verdict per metric with a
+direction: a gain claim holds when there are at least 10 pairs, the change
+is better in at least 9 of every 10 of them, and its median is better than
+the parent's by more than the parent's interquartile range.
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload city_sharded \\
         --pairs 10 [--seed N] [--trace 0|1]
@@ -67,6 +70,25 @@ def directions(checkout):
             for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
 
 
+# The claim rule: at least CLAIM_MIN_PAIRS pairs, the change better in at
+# least CLAIM_SHARE of them, medians apart by more than the parent's IQR.
+CLAIM_MIN_PAIRS = 10
+CLAIM_SHARE = 0.9
+
+
+def claim_verdict(pairs, wins, shift, iqr):
+    """"holds", or "fails: <first unmet condition>". `shift` is the median
+    change in the better direction (positive = better)."""
+    if pairs < CLAIM_MIN_PAIRS:
+        return f"fails: {pairs} pairs, needs {CLAIM_MIN_PAIRS}"
+    if wins < CLAIM_SHARE * pairs:
+        return f"fails: better in {wins}/{pairs}, needs 9 of every 10"
+    if not shift > iqr:
+        return (f"fails: median better by {shift:.6g}, not more than the "
+                f"parent IQR {iqr:.6g}")
+    return "holds"
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -113,6 +135,7 @@ def main():
           f"trace {args.trace} "
           "(parent median [Q1, Q3] -> change median; per-pair median "
           "change/parent; pairs where the change was better)")
+    verdicts = []
     for name in names:
         parent = [v[name] for v in values["parent"] if name in v]
         change = [v[name] for v in values["change"] if name in v]
@@ -127,12 +150,21 @@ def main():
         if direction in ("lower", "higher"):
             wins = sum((c < p) if direction == "lower" else (c > p)
                        for p, c in zip(parent, change))
+            shift = p_med - c_med if direction == "lower" else c_med - p_med
+            verdicts.append(
+                (name, claim_verdict(args.pairs, wins, shift, q3 - q1)))
             wins = f"{wins}/{args.pairs}"
         else:
             wins = "n/a"
         note = ("  unresolved" if abs(c_med - p_med) < q3 - q1 else "")
         print(f"  {name:28s} {p_med:.6g} [{q1:.6g}, {q3:.6g}] -> {c_med:.6g}"
               f"  ratio {ratio}  better {wins}{note}")
+
+    print(f"\nclaim verdicts (better in >= 9 of every 10 of >= "
+          f"{CLAIM_MIN_PAIRS} pairs, median better by more than the parent "
+          "IQR)")
+    for name, verdict in verdicts:
+        print(f"  claim {name:28s} {verdict}")
 
     for side in ("parent", "change"):
         if len(digests[side]) != 1:
